@@ -92,8 +92,11 @@ int main() {
 
     {  // plain: no checkpoint machinery at all.
         Cache cache(kUnits, kSeed);
+        Target target(cache);
+        replay::SpanOpSource<Op> source(span);
         StopWatch w;
-        const auto rep = replay::replay_sharded(cache, span, cfg);
+        const auto rep =
+            replay::replay_target_sharded_stream(target, source, cfg).value();
         rows.push_back({"plain", w.seconds(), rep.stats.ops, 0, 0, 0});
     }
 
@@ -101,15 +104,18 @@ int main() {
     {  // checkpointed: quiesce + serialize every cut, then discard.
         Cache cache(kUnits, kSeed);
         Target target(cache);
+        replay::SpanOpSource<Op> source(span);
         std::uint64_t cuts = 0;
         StopWatch w;
-        const auto rep = replay::replay_target_checkpointed(
-            target, span, cfg, kCadence,
-            [&](replay::TargetCheckpoint<replay::ReplayStats>&& cp) {
-                const auto img = replay::serialize_target_checkpoint(cp);
-                image_bytes = img.bytes.size();
-                ++cuts;
-            });
+        const auto rep =
+            replay::replay_target_checkpointed_stream(
+                target, source, cfg, kCadence,
+                [&](replay::TargetCheckpoint<replay::ReplayStats>&& cp) {
+                    const auto img = replay::serialize_target_checkpoint(cp);
+                    image_bytes = img.bytes.size();
+                    ++cuts;
+                })
+                .value();
         rows.push_back({"checkpointed", w.seconds(), rep.stats.ops, cuts, 0,
                         0});
     }
@@ -163,7 +169,8 @@ int main() {
     // --- byte-level costs over one representative image -------------------
     Cache img_cache(kUnits, kSeed);
     Target img_target(img_cache);
-    (void)replay::replay_sharded(img_cache, span, cfg);
+    replay::SpanOpSource<Op> img_source(span);
+    (void)replay::replay_target_sharded_stream(img_target, img_source, cfg);
     const auto cut = replay::take_target_checkpoint(
         img_target,
         replay::BasicCheckpointCut<replay::ReplayStats>{

@@ -28,9 +28,9 @@
 #include "p4lru/core/simd/scan_kernels.hpp"
 #include "p4lru/obs/metrics.hpp"
 #include "p4lru/pipeline/p4lru3_program.hpp"
-#include "p4lru/replay/checkpoint.hpp"
 #include "p4lru/replay/op_source.hpp"
 #include "p4lru/replay/replay.hpp"
+#include "p4lru/replay/target_checkpoint.hpp"
 #include "p4lru/sketch/countmin.hpp"
 #include "p4lru/sketch/towersketch.hpp"
 #include "p4lru/trace/trace_io.hpp"
@@ -184,7 +184,38 @@ BENCHMARK(BM_Crc32FlowKey);
 // engine's and the slab's bit-equivalence guarantees, asserted at full
 // scale).
 
-using ReplaySpan = std::span<const replay::ReplayOp<FlowKey, std::uint32_t>>;
+using ReplayOp = replay::ReplayOp<FlowKey, std::uint32_t>;
+using ReplaySpan = std::span<const ReplayOp>;
+
+/// Per-op sequential replay: every op routed and applied on its own
+/// (replay_target_sequential_stream over the cache's target).
+template <typename Cache>
+replay::ReplayStats replay_per_op(Cache& cache, ReplaySpan span) {
+    replay::CacheReplayTarget target(cache);
+    replay::SpanOpSource<ReplayOp> source(span);
+    return replay::replay_target_sequential_stream(target, source).value();
+}
+
+/// The engine over the cache's target: sharded per `cfg`.
+template <typename Cache>
+replay::ShardedReport replay_engine(Cache& cache, ReplaySpan span,
+                                    const replay::ShardedConfig& cfg) {
+    replay::CacheReplayTarget target(cache);
+    replay::SpanOpSource<ReplayOp> source(span);
+    return replay::replay_target_sharded_stream(target, source, cfg).value();
+}
+
+/// Batched sequential replay: the engine inline on one shard — hashing
+/// hoisted per 256-op block, each op's unit prefetched ahead of its update.
+template <typename Cache>
+replay::ShardedReport replay_batched(Cache& cache, ReplaySpan span,
+                                     std::uint64_t scrub_every = 0) {
+    replay::ShardedConfig cfg;
+    cfg.shards = 1;
+    cfg.mode = replay::Mode::kInline;
+    cfg.robust.scrub_every = scrub_every;
+    return replay_engine(cache, span, cfg);
+}
 
 /// Scan kernel the next replay run will execute (override-aware).
 const char* active_kernel_name() {
@@ -211,7 +242,7 @@ double run_layout_series(ReplaySpan span, std::size_t units,
     // Warmup: touch the trace and code paths once, off the clock.
     {
         Cache warm(units, 0xE1);
-        (void)replay::replay_sequential(
+        (void)replay_per_op(
             warm, span.subspan(0, std::min<std::size_t>(span.size(),
                                                         100'000)));
     }
@@ -221,7 +252,7 @@ double run_layout_series(ReplaySpan span, std::size_t units,
     for (int rep = 0; rep < kReps; ++rep) {
         Cache cache(units, 0xE1);
         bench::StopWatch w;
-        const auto s = replay::replay_sequential(cache, span);
+        const auto s = replay_per_op(cache, span);
         const double secs = w.seconds();
         if (rep == 0 || secs < seq_seconds) seq_seconds = secs;
         seq_stats = s;
@@ -238,14 +269,14 @@ double run_layout_series(ReplaySpan span, std::size_t units,
                         seq_stats.evictions});
     }
 
-    // Batched sequential: same op order, hashing hoisted per 256-op chunk
-    // with the key-plane line of op i+8 prefetched while op i executes.
+    // Batched sequential: same op order, hashing hoisted per 256-op block
+    // with each op's unit prefetched ahead of its update.
     double batched_seconds = 0.0;
     replay::ReplayStats batched_stats;
     for (int rep = 0; rep < kReps; ++rep) {
         Cache cache(units, 0xE1);
         bench::StopWatch w;
-        batched_stats = replay::replay_sequential_batched(cache, span);
+        batched_stats = replay_batched(cache, span).stats;
         const double secs = w.seconds();
         if (rep == 0 || secs < batched_seconds) batched_seconds = secs;
     }
@@ -277,7 +308,7 @@ double run_layout_series(ReplaySpan span, std::size_t units,
         for (int rep = 0; rep < kReps; ++rep) {
             Cache cache(units, 0xE1);
             bench::StopWatch w;
-            last = replay::replay_sharded(cache, span, cfg);
+            last = replay_engine(cache, span, cfg);
             const double secs = w.seconds();
             if (rep == 0 || secs < best) best = secs;
             all_identical = all_identical && last.stats == seq_stats;
@@ -334,8 +365,8 @@ void run_kernel_series(ReplaySpan span, std::size_t units,
             for (int rep = 0; rep < kReps; ++rep) {
                 Cache cache(units, 0xE1);
                 bench::StopWatch w;
-                s = batched ? replay::replay_sequential_batched(cache, span)
-                            : replay::replay_sequential(cache, span);
+                s = batched ? replay_batched(cache, span).stats
+                            : replay_per_op(cache, span);
                 const double secs = w.seconds();
                 if (rep == 0 || secs < best) best = secs;
             }
@@ -386,7 +417,7 @@ void run_pinning_series(ReplaySpan span, std::size_t units,
         for (int rep = 0; rep < kReps; ++rep) {
             Cache cache(units, 0xE1);
             bench::StopWatch w;
-            rep_out = replay::replay_sharded(cache, span, cfg);
+            rep_out = replay_engine(cache, span, cfg);
             const double secs = w.seconds();
             if (rep == 0 || secs < best) best = secs;
         }
@@ -411,10 +442,11 @@ void run_pinning_series(ReplaySpan span, std::size_t units,
     }
 }
 
-/// Integrity-scrubber overhead: sequential replay with the scrubber off vs
-/// on a 64k-op cadence, same trace and units as the main series.  The stats
-/// must be identical (a clean cache scrubs to zero findings); the wall-time
-/// delta is the price of periodically revalidating every meta word.
+/// Integrity-scrubber overhead: batched sequential replay with the scrubber
+/// off vs on a 64k-op cadence, same trace and units as the main series.
+/// The stats must be identical (a clean cache scrubs to zero findings); the
+/// wall-time delta is the price of periodically revalidating every meta
+/// word.
 template <typename Cache>
 void run_scrubber_series(ReplaySpan span, std::size_t units,
                          ConsoleTable& table,
@@ -428,18 +460,17 @@ void run_scrubber_series(ReplaySpan span, std::size_t units,
     for (int rep = 0; rep < kReps; ++rep) {
         Cache cache(units, 0xE1);
         bench::StopWatch w;
-        off_stats = replay::replay_sequential(cache, span);
+        off_stats = replay_batched(cache, span).stats;
         const double secs = w.seconds();
         if (rep == 0 || secs < off_seconds) off_seconds = secs;
     }
 
     double on_seconds = 0.0;
-    replay::ScrubbedReplay on_result;
+    replay::ShardedReport on_result;
     for (int rep = 0; rep < kReps; ++rep) {
         Cache cache(units, 0xE1);
         bench::StopWatch w;
-        on_result =
-            replay::replay_sequential_scrubbed(cache, span, kScrubEvery);
+        on_result = replay_batched(cache, span, kScrubEvery);
         const double secs = w.seconds();
         if (rep == 0 || secs < on_seconds) on_seconds = secs;
     }
@@ -449,12 +480,12 @@ void run_scrubber_series(ReplaySpan span, std::size_t units,
           std::tuple{"scrub_on", on_seconds, on_result.stats}}) {
         const stats::Throughput tp{s.ops, secs};
         table.add_row({"scrubber", layout, "1", mode, active_kernel_name(),
-                       "per_op", ConsoleTable::num(secs, 3),
+                       "batched", ConsoleTable::num(secs, 3),
                        ConsoleTable::num(tp.mops(), 2),
                        ConsoleTable::num(off_seconds / secs, 2),
                        bench::pct(s.hit_rate())});
         json.push_back({"scrubber", layout, 0, mode, active_kernel_name(),
-                        "per_op", secs, tp.mops(), s.ops, s.hits, s.misses,
+                        "batched", secs, tp.mops(), s.ops, s.hits, s.misses,
                         s.evictions});
     }
 
@@ -489,7 +520,7 @@ void run_checkpoint_series(ReplaySpan span, std::size_t units,
     for (int rep = 0; rep < kReps; ++rep) {
         Cache cache(units, 0xE1);
         bench::StopWatch w;
-        off_rep = replay::replay_sharded(cache, span, cfg);
+        off_rep = replay_engine(cache, span, cfg);
         const double secs = w.seconds();
         if (rep == 0 || secs < off_seconds) off_seconds = secs;
     }
@@ -499,14 +530,17 @@ void run_checkpoint_series(ReplaySpan span, std::size_t units,
     std::size_t emitted = 0;
     for (int rep = 0; rep < kReps; ++rep) {
         Cache cache(units, 0xE1);
+        replay::CacheReplayTarget target(cache);
+        replay::SpanOpSource<ReplayOp> source(span);
         emitted = 0;
         bench::StopWatch w;
-        on_rep = replay::replay_sharded_checkpointed(
-            cache, span, cfg, kEveryBatches,
-            [&](replay::ShardedCheckpoint&& cp) {
-                ++emitted;
-                benchmark::DoNotOptimize(cp.base.planes.data());
-            });
+        on_rep = replay::replay_target_checkpointed_stream(
+                     target, source, cfg, kEveryBatches,
+                     [&](replay::TargetCheckpoint<replay::ReplayStats>&& cp) {
+                         ++emitted;
+                         benchmark::DoNotOptimize(cp.state.data());
+                     })
+                     .value();
         const double secs = w.seconds();
         if (rep == 0 || secs < on_seconds) on_seconds = secs;
     }
@@ -555,7 +589,7 @@ void run_obs_series(ReplaySpan span, std::size_t units, ConsoleTable& table,
     for (int rep = 0; rep < kReps; ++rep) {
         Cache cache(units, 0xF2);
         bench::StopWatch w;
-        off_rep = replay::replay_sharded(cache, span, cfg);
+        off_rep = replay_engine(cache, span, cfg);
         const double secs = w.seconds();
         if (rep == 0 || secs < off_seconds) off_seconds = secs;
     }
@@ -567,7 +601,7 @@ void run_obs_series(ReplaySpan span, std::size_t units, ConsoleTable& table,
     for (int rep = 0; rep < kReps; ++rep) {
         Cache cache(units, 0xF2);
         bench::StopWatch w;
-        on_rep = replay::replay_sharded(cache, span, cfg);
+        on_rep = replay_engine(cache, span, cfg);
         const double secs = w.seconds();
         if (rep == 0 || secs < on_seconds) on_seconds = secs;
     }
@@ -642,8 +676,10 @@ void run_source_series(const std::vector<PacketRecord>& trace,
             auto src = open_source(source);
             auto stream = replay::packet_op_source(*src);
             Cache cache(units, 0xE1);
+            replay::CacheReplayTarget target(cache);
             bench::StopWatch w;
-            s = replay::replay_sequential_stream(cache, stream).value();
+            s = replay::replay_target_sequential_stream(target, stream)
+                    .value();
             const double secs = w.seconds();
             if (rep == 0 || secs < seq_best) seq_best = secs;
         }
@@ -671,9 +707,11 @@ void run_source_series(const std::vector<PacketRecord>& trace,
             auto src = open_source(source);
             auto stream = replay::packet_op_source(*src);
             Cache cache(units, 0xE1);
+            replay::CacheReplayTarget target(cache);
             bench::StopWatch w;
-            rep_out =
-                replay::replay_sharded_stream(cache, stream, cfg).value();
+            rep_out = replay::replay_target_sharded_stream(target, stream,
+                                                           cfg)
+                          .value();
             const double secs = w.seconds();
             if (rep == 0 || secs < shard_best) shard_best = secs;
         }

@@ -9,7 +9,9 @@
 //
 // Scalars are written little-endian byte-by-byte (portable); raw `bytes`
 // regions are memory images whose layout is guarded by the surrounding size
-// fields, the same contract as the storage plane images in checkpoint_io.
+// fields.  This is the repo's only little-endian codec: the checkpoint
+// image format (replay/serialized_image.hpp) is written and read with it
+// too.
 #pragma once
 
 #include <cstddef>
@@ -39,10 +41,10 @@ class ByteWriter {
     }
 
     /// Raw memory image of `n` bytes (trivially-copyable payloads only).
+    /// Appended in one copy, without zero-filling the grown tail first.
     void bytes(const void* p, std::size_t n) {
-        const std::size_t off = out_->size();
-        out_->resize(off + n);
-        if (n != 0) std::memcpy(out_->data() + off, p, n);
+        const auto* b = static_cast<const std::byte*>(p);
+        out_->insert(out_->end(), b, b + n);
     }
 
     template <typename T>

@@ -86,6 +86,8 @@ template <typename Unit, typename Key, typename Value,
 class ParallelCache {
   public:
     using Result = UpdateResult<Key, Value>;
+    using key_type = Key;
+    using value_type = Value;
     using unit_type = Unit;
     using storage_type = Storage;
 

@@ -91,7 +91,7 @@ class [[nodiscard]] Status {
 };
 
 /// Shorthand factories for the dominant construction sites — the binary IO
-/// layers (trace_io, checkpoint_io) build dozens of parse-failure statuses,
+/// layers (trace_io, serialized_image) build dozens of parse-failure statuses,
 /// and spelling the enum every time buries the message.  Offsets carry the
 /// byte position where the input stopped making sense, as in Status itself.
 [[nodiscard]] inline Status io_error(std::string message) {
@@ -112,7 +112,7 @@ class [[nodiscard]] Status {
 /// IO failure with the OS-level cause attached: "<what> '<path>': <strerror>
 /// (errno N)".  Reads `errno` at call time, so call it immediately after the
 /// failed open/read/write/rename — every IO-failure Status in the binary
-/// format layers (trace_io, checkpoint_io, durable_store) goes through this
+/// format layers (trace_io, serialized_image, durable_store) goes through this
 /// so the offending file path and the syscall error are never lost.
 [[nodiscard]] inline Status io_error_errno(std::string what,
                                            const std::string& path) {

@@ -79,7 +79,7 @@ concept MergeableStats =
         { b.ops } -> std::convertible_to<std::uint64_t>;
     };
 
-/// The contract between detail::replay_sharded_impl and the thing it
+/// The contract between detail::replay_sharded_stream_impl and the thing it
 /// drives.  Fault hooks are template member functions and therefore not
 /// expressible as concept requirements in general; they are checked against
 /// the fault::NoFaults instantiation, which every Faults parameter must

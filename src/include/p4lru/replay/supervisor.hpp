@@ -1,8 +1,8 @@
 // Crash-recovery supervisor for checkpointed target replays (DESIGN.md
 // §12).
 //
-// run_supervised drives replay_target_checkpointed /
-// resume_target_checkpointed for any ReplayTarget with a checkpoint
+// run_supervised drives replay_target_checkpointed_stream /
+// resume_target_checkpointed_stream for any ReplayTarget with a checkpoint
 // cadence, installing every emitted checkpoint into a DurableStore as a
 // sealed generation.  When a run dies — in these tests, deterministically,
 // at a fault::CrashPoint; in production, by any process death whose

@@ -1,77 +1,37 @@
 // Checkpoint/resume for any ReplayTarget (DESIGN.md §11, §12).
 //
-// The cache-specific checkpoint layer (checkpoint.hpp) snapshots storage
-// planes; this layer generalizes the same consistent-cut protocol to every
-// model of the ReplayTarget concept: the dispatcher quiesces the workers at
-// a dispatch boundary (replay.hpp, ShardCtl::snap_*), and the cut is
-// materialized through the target's snapshot plane — `save_state` for the
-// full mutable state, `state_id`/`state_fingerprint` as the shape guards
-// that stop a checkpoint from being restored into a differently-configured
-// target.  Resuming is "load state, replay the suffix": the suffix may use
-// any shard geometry, because a cut is a clean op prefix and per-bucket
-// arrival order is all that bit-exactness needs.
+// The consistent-cut protocol lives in the engine: the dispatcher quiesces
+// the workers at a dispatch boundary (replay.hpp, ShardCtl::snap_*), and
+// this layer materializes the cut through the target's snapshot plane —
+// `save_state` for the full mutable state, `state_id`/`state_fingerprint`
+// as the shape guards that stop a checkpoint from being restored into a
+// differently-configured target.  A bare cache is just the target whose
+// state image is its storage planes (CacheReplayTarget).  Resuming is
+// "load state, replay the suffix": the suffix may use any shard geometry,
+// because a cut is a clean op prefix and per-bucket arrival order is all
+// that bit-exactness needs.
 //
-// On-disk format v2 (magic "P4LRUTGC", little-endian), offsets in bytes:
+// On disk a checkpoint is one sealed P4LRUTGC image (format table and
+// reader hardening in serialized_image.hpp); Stats records are raw memory
+// images, so the Stats type must be trivially copyable, and the record
+// size field plus the state id/fingerprint reject a file written by a
+// different Stats layout or target configuration.
 //
-//   off  size  field
-//     0     8  magic "P4LRUTGC"
-//     8     4  version (u32, = 2)
-//    12     4  target state id (Target::state_id())
-//    16     8  target state fingerprint
-//    24     8  unit count
-//    32     8  op cursor
-//    40     8  delivered batches
-//    48     8  backpressure waits
-//    56     8  park wait (us)
-//    64     8  shards drained inline
-//    72     8  workers abandoned
-//    80    24  ScrubReport (scanned, corrupt, repaired; u64 each)
-//   104     4  stats record size R (u32, = sizeof(Stats))
-//   108     4  shard count S (u32)
-//   112     8  state image size P
-//   120     R  merged Stats record
-//   120+R  R*S per-shard Stats slices
-//   ...    P   raw target state bytes
-//   ...then the 16-byte seal footer:
-//   +0      4  crc_header (CRC32 over bytes [0, 120))
-//   +4      4  crc_stats  (CRC32 over the (1+S)*R stats-record bytes)
-//   +8      4  crc_state  (CRC32 over the P state bytes)
-//   +12     4  crc_footer (CRC32 over the 12 preceding footer bytes)
-//
-// Version 1 is the same layout without the seal footer; the reader still
-// accepts it, with structural checks only.  Stats records are raw memory
-// images (the Stats type must be trivially copyable, like the plane bytes
-// in checkpoint_io); the record size field plus the state id/fingerprint
-// reject a file written by a different Stats layout or target
-// configuration.  Reading is hardened like trace_io / checkpoint_io:
-// read_target_checkpoint_checked returns a typed Status carrying the byte
-// offset where the file stopped making sense, and cross-checks the shard
-// count and state size against the actual file size *before* allocating,
-// so a flipped bit in a count field cannot drive a huge allocation.  Every
-// strict prefix of a valid file is rejected, and in a v2 file any
-// single-bit flip trips exactly one of magic/version compare, the size
-// cross-check, or one of the four CRCs (durable_store_test proves both by
-// sweep).  IO failures carry the offending path plus errno/strerror.
-//
-// write_target_checkpoint itself is NOT atomic; for crash-safe installs go
-// through durable_store.hpp (temp file + fsync + atomic rename into a
-// generational store directory), and for automatic restart-from-newest-
-// valid-generation use supervisor.hpp.
+// write_target_checkpoint replaces one file (temp + rename, no fsync); for
+// crash-safe generational installs go through durable_store.hpp, and for
+// automatic restart-from-newest-valid-generation use supervisor.hpp.
 #pragma once
 
-#include <cerrno>
 #include <cstdint>
-#include <cstdio>
-#include <cstring>
-#include <memory>
 #include <span>
 #include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
-#include "p4lru/common/hash.hpp"
+#include "p4lru/common/byte_io.hpp"
 #include "p4lru/fault/status.hpp"
+#include "p4lru/replay/durable_store.hpp"
 #include "p4lru/replay/replay_target.hpp"
 #include "p4lru/replay/serialized_image.hpp"
 
@@ -125,9 +85,9 @@ take_target_checkpoint(const Target& target,
 
 namespace detail {
 
-/// The target-generic counterpart of DispatchCheckpointer (checkpoint.hpp):
-/// trips the dispatch loop's trigger every `every` delivered batches and
-/// converts the quiesced cut into a TargetCheckpoint for the sink.  If the
+/// The enabled counterpart of detail::NoCheckpoint (replay.hpp): trips the
+/// dispatch loop's trigger every `every` delivered batches and converts the
+/// quiesced cut into a TargetCheckpoint for the sink.  If the
 /// sink exposes `stop_requested()`, the dispatch loop polls it after every
 /// emitted checkpoint and winds down cooperatively — that is how the crash
 /// injector (fault::CrashPoint) and the supervisor stop a run at a cut
@@ -191,25 +151,11 @@ replay_target_checkpointed_stream(Target& target, Source& source,
                                               ckpt);
 }
 
-/// Sharded target replay that emits a TargetCheckpoint into `sink` every
-/// `every_batches` delivered batches.  A SpanOpSource wrapper over
-/// replay_target_checkpointed_stream (a span source never fails).
-template <typename Target, typename Sink, typename Faults = fault::NoFaults>
-BasicShardedReport<typename Target::Stats> replay_target_checkpointed(
-    Target& target, std::span<const typename Target::Op> ops,
-    const ShardedConfig& cfg, std::uint64_t every_batches, Sink&& sink,
-    const Faults& faults = {}) {
-    SpanOpSource<typename Target::Op> source(ops);
-    return replay_target_checkpointed_stream(target, source, cfg,
-                                             every_batches,
-                                             std::forward<Sink>(sink),
-                                             faults)
-        .value();
-}
-
-/// Shape/consistency validation shared by the resume entry points and the
+/// Shape/consistency validation shared by the resume entry point and the
 /// supervisor's recovery scan: does `cp` describe a run of THIS target over
-/// a stream of `op_count` ops?  kInvalidState on any mismatch.
+/// a stream of `op_count` ops?  kInvalidState on any mismatch.  The state
+/// layout (id + fingerprint) is checked first — a layout mismatch makes
+/// every other field meaningless.
 template <typename Target>
 [[nodiscard]] Status validate_target_checkpoint(
     const Target& target, std::size_t op_count,
@@ -218,9 +164,10 @@ template <typename Target>
     if (cp.state_id != Target::state_id() ||
         cp.state_fingerprint != Target::state_fingerprint()) {
         return invalid_state(
-            "target checkpoint state id " + std::to_string(cp.state_id) +
-            " / fingerprint " + std::to_string(cp.state_fingerprint) +
-            " does not match this target (id " +
+            "target checkpoint state layout (id " +
+            std::to_string(cp.state_id) + ", fingerprint " +
+            std::to_string(cp.state_fingerprint) +
+            ") does not match this target's layout (id " +
             std::to_string(Target::state_id()) + ", fingerprint " +
             std::to_string(Target::state_fingerprint()) + ")");
     }
@@ -252,60 +199,6 @@ template <typename Target>
         }
     }
     return Status::ok();
-}
-
-/// Restore a target checkpoint into `target` and stream the remaining ops
-/// [cp.cursor, end) with `cfg` — the resume *seeks* the source to the
-/// cursor instead of re-reading the prefix, and may use a different shard
-/// count, batch size or mode than the interrupted run.  The returned report
-/// merges the checkpoint's statistics and telemetry, so it reads as if the
-/// run had never been interrupted.  Fails with kInvalidState on any shape
-/// mismatch or when the checkpoint is internally inconsistent, and with
-/// the source's own Status on a seek or mid-stream failure.
-template <typename Target, typename Source, typename Faults = fault::NoFaults>
-[[nodiscard]] Expected<BasicShardedReport<typename Target::Stats>>
-resume_target_sharded_stream(
-    Target& target, Source& source,
-    const TargetCheckpoint<typename Target::Stats>& cp,
-    const ShardedConfig& cfg = {}, const Faults& faults = {}) {
-    using Stats = typename Target::Stats;
-    if (Status st = validate_target_checkpoint(
-            target, static_cast<std::size_t>(source.size()), cp);
-        !st.is_ok()) {
-        return st;
-    }
-    if (!target.load_state(cp.state)) {
-        return invalid_state("target checkpoint state image of " +
-                             std::to_string(cp.state.size()) +
-                             " bytes does not match this target's shape");
-    }
-    if (Status st = source.seek(cp.cursor); !st.is_ok()) {
-        return st;
-    }
-    auto streamed = replay_target_sharded_stream(target, source, cfg, faults);
-    if (!streamed.is_ok()) return streamed.status();
-    BasicShardedReport<Stats> rep = std::move(streamed).value();
-    rep.stats.merge(cp.stats);
-    rep.backpressure_waits += cp.backpressure_waits;
-    rep.park_wait_us += cp.park_wait_us;
-    rep.drained_inline += static_cast<std::size_t>(cp.drained_inline);
-    rep.abandoned_workers += static_cast<std::size_t>(cp.abandoned_workers);
-    rep.scrub.merge(cp.scrub);
-    return rep;
-}
-
-/// Restore a target checkpoint into `target` and replay the remaining ops
-/// [cp.cursor, end).  A SpanOpSource wrapper over
-/// resume_target_sharded_stream.
-template <typename Target, typename Faults = fault::NoFaults>
-[[nodiscard]] Expected<BasicShardedReport<typename Target::Stats>>
-resume_target_sharded(Target& target,
-                      std::span<const typename Target::Op> ops,
-                      const TargetCheckpoint<typename Target::Stats>& cp,
-                      const ShardedConfig& cfg = {},
-                      const Faults& faults = {}) {
-    SpanOpSource<typename Target::Op> source(ops);
-    return resume_target_sharded_stream(target, source, cp, cfg, faults);
 }
 
 namespace detail {
@@ -351,14 +244,20 @@ class RebasedTargetSink {
 
 }  // namespace detail
 
-/// resume_target_sharded_stream + continued checkpoint emission: restore
-/// `cp`, seek the source to its cursor, stream the suffix, and keep
-/// emitting checkpoints into `sink` every `every_batches` delivered
-/// batches.  Emitted checkpoints are rebased to absolute run coordinates
-/// (see RebasedTargetSink), so each one is itself a valid resume point —
-/// this is what lets the supervisor chain an arbitrary number of
-/// crash/recover cycles.  A sink `stop_requested()` ends the suffix early
-/// at a cut, exactly as in replay_target_checkpointed_stream.
+/// Restore `cp` into `target`, seek the source to its cursor, and stream
+/// the remaining ops [cp.cursor, end) with `cfg` — the resume may use a
+/// different shard count, batch size or mode than the interrupted run, and
+/// re-reads no prefix byte.  Checkpoints keep flowing into `sink` every
+/// `every_batches` delivered batches (0 = resume without further cuts),
+/// rebased to absolute run coordinates (see RebasedTargetSink), so each one
+/// is itself a valid resume point — this is what lets the supervisor chain
+/// an arbitrary number of crash/recover cycles.  The returned report merges
+/// the checkpoint's statistics and telemetry, so it reads as if the run had
+/// never been interrupted.  A sink `stop_requested()` ends the suffix early
+/// at a cut, exactly as in replay_target_checkpointed_stream.  Fails with
+/// kInvalidState on any shape mismatch or when the checkpoint is internally
+/// inconsistent, and with the source's own Status on a seek or mid-stream
+/// failure.
 template <typename Target, typename Source, typename Sink,
           typename Faults = fault::NoFaults>
 [[nodiscard]] Expected<BasicShardedReport<typename Target::Stats>>
@@ -396,72 +295,8 @@ resume_target_checkpointed_stream(
     return rep;
 }
 
-/// resume_target_sharded + continued checkpoint emission.  A SpanOpSource
-/// wrapper over resume_target_checkpointed_stream.
-template <typename Target, typename Sink, typename Faults = fault::NoFaults>
-[[nodiscard]] Expected<BasicShardedReport<typename Target::Stats>>
-resume_target_checkpointed(Target& target,
-                           std::span<const typename Target::Op> ops,
-                           const TargetCheckpoint<typename Target::Stats>& cp,
-                           const ShardedConfig& cfg,
-                           std::uint64_t every_batches, Sink&& sink,
-                           const Faults& faults = {}) {
-    SpanOpSource<typename Target::Op> source(ops);
-    return resume_target_checkpointed_stream(target, source, cp, cfg,
-                                             every_batches,
-                                             std::forward<Sink>(sink),
-                                             faults);
-}
-
 // ---------------------------------------------------------------------------
-// Disk persistence (format in the file header).
-
-namespace detail {
-
-inline void tgc_put_u32(std::vector<std::byte>& out, std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) {
-        out.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xFF));
-    }
-}
-
-inline void tgc_put_u64(std::vector<std::byte>& out, std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-        out.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xFF));
-    }
-}
-
-inline std::uint32_t tgc_get_u32(const std::byte* p) {
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-        v |= static_cast<std::uint32_t>(std::to_integer<std::uint8_t>(p[i]))
-             << (8 * i);
-    }
-    return v;
-}
-
-inline std::uint64_t tgc_get_u64(const std::byte* p) {
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-        v |= static_cast<std::uint64_t>(std::to_integer<std::uint8_t>(p[i]))
-             << (8 * i);
-    }
-    return v;
-}
-
-inline std::uint32_t tgc_crc(const std::byte* p, std::uint64_t n) {
-    return hash::crc32(std::span<const std::uint8_t>(
-        reinterpret_cast<const std::uint8_t*>(p),
-        static_cast<std::size_t>(n)));
-}
-
-inline constexpr char kTgcMagic[8] = {'P', '4', 'L', 'R',
-                                      'U', 'T', 'G', 'C'};
-inline constexpr std::uint32_t kTgcVersionLegacy = 1;  // no seal footer
-inline constexpr std::uint32_t kTgcVersionSealed = 2;  // CRC32 footer
-inline constexpr std::size_t kTgcHeaderBytes = 120;
-inline constexpr std::size_t kTgcSealBytes = 16;
-
-}  // namespace detail
+// Disk persistence (format in serialized_image.hpp).
 
 /// Render `cp` to its sealed v2 on-disk image in memory.  `Stats` must be
 /// trivially copyable — its records are stored as raw memory images guarded
@@ -470,211 +305,72 @@ template <typename Stats>
     requires std::is_trivially_copyable_v<Stats>
 [[nodiscard]] SerializedCheckpoint serialize_target_checkpoint(
     const TargetCheckpoint<Stats>& cp) {
-    SerializedCheckpoint out;
-    auto& buf = out.bytes;
-    const std::uint64_t stats_bytes =
-        sizeof(Stats) * (1 + cp.shard_stats.size());
-    buf.reserve(detail::kTgcHeaderBytes + stats_bytes + cp.state.size() +
-                detail::kTgcSealBytes);
-    for (char c : detail::kTgcMagic) {
-        buf.push_back(static_cast<std::byte>(c));
-    }
-    detail::tgc_put_u32(buf, detail::kTgcVersionSealed);
-    detail::tgc_put_u32(buf, cp.state_id);
-    detail::tgc_put_u64(buf, cp.state_fingerprint);
-    detail::tgc_put_u64(buf, cp.unit_count);
-    detail::tgc_put_u64(buf, cp.cursor);
-    detail::tgc_put_u64(buf, cp.delivered_batches);
-    detail::tgc_put_u64(buf, cp.backpressure_waits);
-    detail::tgc_put_u64(buf, cp.park_wait_us);
-    detail::tgc_put_u64(buf, cp.drained_inline);
-    detail::tgc_put_u64(buf, cp.abandoned_workers);
-    detail::tgc_put_u64(buf, cp.scrub.scanned);
-    detail::tgc_put_u64(buf, cp.scrub.corrupt);
-    detail::tgc_put_u64(buf, cp.scrub.repaired);
-    detail::tgc_put_u32(buf, static_cast<std::uint32_t>(sizeof(Stats)));
-    detail::tgc_put_u32(buf,
-                        static_cast<std::uint32_t>(cp.shard_stats.size()));
-    detail::tgc_put_u64(buf, cp.state.size());
-    out.section_ends.push_back(buf.size());  // header
-    const auto append_stats = [&buf](const Stats& s) {
-        const std::size_t off = buf.size();
-        buf.resize(off + sizeof(Stats));
-        std::memcpy(buf.data() + off, &s, sizeof(Stats));
-    };
-    append_stats(cp.stats);
-    for (const auto& s : cp.shard_stats) append_stats(s);
-    out.section_ends.push_back(buf.size());  // stats records
-    buf.insert(buf.end(), cp.state.begin(), cp.state.end());
-    out.section_ends.push_back(buf.size());  // state image
-
-    const std::uint32_t crc_header =
-        detail::tgc_crc(buf.data(), detail::kTgcHeaderBytes);
-    const std::uint32_t crc_stats =
-        detail::tgc_crc(buf.data() + detail::kTgcHeaderBytes, stats_bytes);
-    const std::uint32_t crc_state = detail::tgc_crc(
-        buf.data() + detail::kTgcHeaderBytes + stats_bytes, cp.state.size());
-    const std::size_t seal_off = buf.size();
-    detail::tgc_put_u32(buf, crc_header);
-    detail::tgc_put_u32(buf, crc_stats);
-    detail::tgc_put_u32(buf, crc_state);
-    detail::tgc_put_u32(buf, detail::tgc_crc(buf.data() + seal_off, 12));
-    out.section_ends.push_back(buf.size());  // footer == total
-    return out;
+    CheckpointHeader h;
+    h.state_id = cp.state_id;
+    h.state_fingerprint = cp.state_fingerprint;
+    h.unit_count = cp.unit_count;
+    h.cursor = cp.cursor;
+    h.delivered_batches = cp.delivered_batches;
+    h.backpressure_waits = cp.backpressure_waits;
+    h.park_wait_us = cp.park_wait_us;
+    h.drained_inline = cp.drained_inline;
+    h.abandoned_workers = cp.abandoned_workers;
+    h.scrub = cp.scrub;
+    h.record_bytes = static_cast<std::uint32_t>(sizeof(Stats));
+    h.shard_count = static_cast<std::uint32_t>(cp.shard_stats.size());
+    std::vector<std::byte> records;
+    records.reserve(h.records_bytes());
+    io::ByteWriter w(records);
+    w.pod(cp.stats);
+    for (const auto& s : cp.shard_stats) w.pod(s);
+    return seal_checkpoint_image(h, records, cp.state);
 }
 
-/// Serialize `cp` to `path` (overwriting, sealed v2 format).  Returns
-/// kIoError (with path + errno detail) on any open/write failure.  Not
-/// atomic — for crash-safe installs use durable_store.hpp.
+/// Serialize `cp` to `path` (overwriting, sealed v2 format) through
+/// atomic_write_file without fsync.  Returns kIoError (with path + errno
+/// detail) on any write failure.
 template <typename Stats>
     requires std::is_trivially_copyable_v<Stats>
 [[nodiscard]] Status write_target_checkpoint(
     const std::string& path, const TargetCheckpoint<Stats>& cp) {
-    const SerializedCheckpoint image = serialize_target_checkpoint(cp);
-    errno = 0;
-    std::FILE* f = std::fopen(path.c_str(), "wb");
-    if (!f) {
-        return io_error_errno("write_target_checkpoint: cannot open", path);
-    }
-    errno = 0;
-    const std::size_t written =
-        std::fwrite(image.bytes.data(), 1, image.bytes.size(), f);
-    const bool write_ok = written == image.bytes.size();
-    if (!write_ok) {
-        const Status st =
-            io_error_errno("write_target_checkpoint: short write to", path);
-        std::fclose(f);
-        return st;
-    }
-    errno = 0;
-    if (std::fclose(f) != 0) {
-        return io_error_errno("write_target_checkpoint: close failed on",
-                              path);
-    }
-    return Status::ok();
+    return atomic_write_file(path, serialize_target_checkpoint(cp).bytes,
+                             /*sync=*/false);
 }
 
 /// Parse a target checkpoint from an in-memory image; the reader behind
-/// read_target_checkpoint_checked (durable_store's recovery scan shares
+/// read_target_checkpoint_checked (the supervisor's recovery scan shares
 /// it).  Accepts sealed v2 images (CRC-verified per section) and legacy v1
-/// images (structural checks only).  `origin` names the image in errors.
+/// images (structural checks only); `origin` names the image in errors.
 template <typename Stats>
     requires std::is_trivially_copyable_v<Stats>
 [[nodiscard]] Expected<TargetCheckpoint<Stats>> parse_target_checkpoint(
-    const std::vector<std::byte>& image, const std::string& origin) {
-    const std::uint64_t file_size = image.size();
-    if (file_size < detail::kTgcHeaderBytes) {
-        return truncated("target checkpoint image of " +
-                             std::to_string(file_size) + " bytes from '" +
-                             origin +
-                             "' is smaller than the 120-byte header",
-                         file_size);
-    }
-    const std::byte* hdr = image.data();
-    if (std::memcmp(hdr, detail::kTgcMagic, sizeof(detail::kTgcMagic)) !=
-        0) {
-        return corrupt("read_target_checkpoint: bad magic in " + origin, 0);
-    }
-    const std::uint32_t version = detail::tgc_get_u32(hdr + 8);
-    if (version != detail::kTgcVersionLegacy &&
-        version != detail::kTgcVersionSealed) {
-        return corrupt("read_target_checkpoint: unsupported version " +
-                           std::to_string(version) + " in " + origin,
-                       8);
-    }
-    const bool sealed = version == detail::kTgcVersionSealed;
-    const std::uint64_t seal = sealed ? detail::kTgcSealBytes : 0;
-    TargetCheckpoint<Stats> cp;
-    cp.state_id = detail::tgc_get_u32(hdr + 12);
-    cp.state_fingerprint = detail::tgc_get_u64(hdr + 16);
-    cp.unit_count = static_cast<std::size_t>(detail::tgc_get_u64(hdr + 24));
-    cp.cursor = detail::tgc_get_u64(hdr + 32);
-    cp.delivered_batches = detail::tgc_get_u64(hdr + 40);
-    cp.backpressure_waits = detail::tgc_get_u64(hdr + 48);
-    cp.park_wait_us = detail::tgc_get_u64(hdr + 56);
-    cp.drained_inline = detail::tgc_get_u64(hdr + 64);
-    cp.abandoned_workers = detail::tgc_get_u64(hdr + 72);
-    cp.scrub.scanned = detail::tgc_get_u64(hdr + 80);
-    cp.scrub.corrupt = detail::tgc_get_u64(hdr + 88);
-    cp.scrub.repaired = detail::tgc_get_u64(hdr + 96);
-    const std::uint32_t rec = detail::tgc_get_u32(hdr + 104);
-    const std::uint32_t shard_count = detail::tgc_get_u32(hdr + 108);
-    const std::uint64_t state_bytes = detail::tgc_get_u64(hdr + 112);
-    if (rec != sizeof(Stats)) {
+    std::span<const std::byte> image, const std::string& origin) {
+    Expected<CheckpointView> parsed = parse_checkpoint_image(image, origin);
+    if (!parsed.is_ok()) return parsed.status();
+    const CheckpointView& v = parsed.value();
+    const CheckpointHeader& h = v.header;
+    if (h.record_bytes != sizeof(Stats)) {
         return corrupt("read_target_checkpoint: stats record size " +
-                           std::to_string(rec) + " != expected " +
-                           std::to_string(sizeof(Stats)),
-                       104);
+                           std::to_string(h.record_bytes) + " != expected " +
+                           std::to_string(sizeof(Stats)) + " in " + origin,
+                       104);  // the record size field
     }
-    // Cross-check the counts against the actual file size *before*
-    // allocating anything: a flipped bit in a count field must not drive a
-    // huge allocation, and a strict prefix of a valid file must fail here.
-    const std::uint64_t need =
-        detail::kTgcHeaderBytes +
-        static_cast<std::uint64_t>(rec) * (1 + shard_count) + state_bytes +
-        seal;
-    if (file_size != need) {
-        return file_size < need
-                   ? truncated("read_target_checkpoint: file holds " +
-                                   std::to_string(file_size) +
-                                   " bytes but the header promises " +
-                                   std::to_string(need),
-                               file_size)
-                   : corrupt("read_target_checkpoint: " +
-                                 std::to_string(file_size - need) +
-                                 " trailing bytes past the promised size",
-                             need);
-    }
-    const std::uint64_t stats_bytes =
-        static_cast<std::uint64_t>(rec) * (1 + shard_count);
-    if (sealed) {
-        const std::byte* footer =
-            hdr + detail::kTgcHeaderBytes + stats_bytes + state_bytes;
-        const auto check = [&](std::uint64_t off, std::uint64_t len,
-                               int which, const char* name) -> Status {
-            const std::uint32_t stored =
-                detail::tgc_get_u32(footer + 4 * which);
-            const std::uint32_t computed = detail::tgc_crc(hdr + off, len);
-            if (stored != computed) {
-                return corrupt(std::string(name) + " CRC mismatch in " +
-                                   origin + ": stored " +
-                                   std::to_string(stored) + ", computed " +
-                                   std::to_string(computed),
-                               off);
-            }
-            return Status::ok();
-        };
-        if (Status st =
-                check(detail::kTgcHeaderBytes + stats_bytes + state_bytes,
-                      12, 3, "seal footer");
-            !st.is_ok()) {
-            return st;
-        }
-        if (Status st = check(0, detail::kTgcHeaderBytes, 0, "header");
-            !st.is_ok()) {
-            return st;
-        }
-        if (Status st = check(detail::kTgcHeaderBytes, stats_bytes, 1,
-                              "stats record");
-            !st.is_ok()) {
-            return st;
-        }
-        if (Status st = check(detail::kTgcHeaderBytes + stats_bytes,
-                              state_bytes, 2, "state image");
-            !st.is_ok()) {
-            return st;
-        }
-    }
-    const std::byte* records = hdr + detail::kTgcHeaderBytes;
-    std::memcpy(&cp.stats, records, sizeof(Stats));
-    cp.shard_stats.resize(shard_count);
-    for (std::uint32_t i = 0; i < shard_count; ++i) {
-        std::memcpy(&cp.shard_stats[i],
-                    records + sizeof(Stats) * (1 + std::size_t{i}),
-                    sizeof(Stats));
-    }
-    const std::byte* state = records + stats_bytes;
-    cp.state.assign(state, state + state_bytes);
+    TargetCheckpoint<Stats> cp;
+    cp.cursor = h.cursor;
+    cp.unit_count = static_cast<std::size_t>(h.unit_count);
+    cp.state_id = h.state_id;
+    cp.state_fingerprint = h.state_fingerprint;
+    cp.delivered_batches = h.delivered_batches;
+    cp.backpressure_waits = h.backpressure_waits;
+    cp.park_wait_us = h.park_wait_us;
+    cp.drained_inline = h.drained_inline;
+    cp.abandoned_workers = h.abandoned_workers;
+    cp.scrub = h.scrub;
+    io::ByteReader r(v.records);  // sized by the framing: reads succeed
+    cp.shard_stats.resize(h.shard_count);
+    (void)r.pod(cp.stats);
+    for (auto& s : cp.shard_stats) (void)r.pod(s);
+    cp.state.assign(v.state.begin(), v.state.end());
     return cp;
 }
 
@@ -683,36 +379,14 @@ template <typename Stats>
 /// which the file stopped making sense.  Structural validation only —
 /// whether the checkpoint fits a particular target (state id, fingerprint,
 /// unit count) is decided by validate_target_checkpoint / the resume entry
-/// points.
+/// point.
 template <typename Stats>
     requires std::is_trivially_copyable_v<Stats>
 [[nodiscard]] Expected<TargetCheckpoint<Stats>>
 read_target_checkpoint_checked(const std::string& path) {
-    errno = 0;
-    std::FILE* f = std::fopen(path.c_str(), "rb");
-    if (!f) {
-        return io_error_errno("read_target_checkpoint: cannot open", path);
-    }
-    const std::unique_ptr<std::FILE, int (*)(std::FILE*)> closer(f,
-                                                                 &std::fclose);
-    if (std::fseek(f, 0, SEEK_END) != 0) {
-        return io_error_errno("read_target_checkpoint: seek failed on",
-                              path);
-    }
-    const long fsize = std::ftell(f);
-    if (fsize < 0) {
-        return io_error_errno("read_target_checkpoint: tell failed on",
-                              path);
-    }
-    std::rewind(f);
-    std::vector<std::byte> image(static_cast<std::size_t>(fsize));
-    errno = 0;
-    if (!image.empty() &&
-        std::fread(image.data(), 1, image.size(), f) != image.size()) {
-        return io_error_errno("read_target_checkpoint: read failed on",
-                              path);
-    }
-    return parse_target_checkpoint<Stats>(image, path);
+    Expected<std::vector<std::byte>> bytes = read_file_bytes(path);
+    if (!bytes.is_ok()) return bytes.status();
+    return parse_target_checkpoint<Stats>(bytes.value(), path);
 }
 
 }  // namespace p4lru::replay

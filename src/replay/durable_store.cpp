@@ -4,13 +4,9 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <span>
 #include <system_error>
-
-#include "p4lru/common/hash.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <fcntl.h>
@@ -26,157 +22,6 @@ namespace fs = std::filesystem;
 constexpr char kGenPrefix[] = "gen-";
 constexpr char kGenSuffix[] = ".ckpt";
 constexpr char kTmpSuffix[] = ".tmp";
-constexpr std::uint64_t kSealBytes = 16;
-
-// Raw header geometry of the two formats (documented in checkpoint_io.hpp
-// and target_checkpoint.hpp; the typed readers are the source of truth —
-// the raw path only mirrors their framing so the store and the CLI can
-// judge validity without knowing the Stats type).
-constexpr char kCkpMagic[8] = {'P', '4', 'L', 'R', 'U', 'C', 'K', 'P'};
-constexpr char kTgcMagic[8] = {'P', '4', 'L', 'R', 'U', 'T', 'G', 'C'};
-constexpr std::uint64_t kCkpHeaderBytes = 152;
-constexpr std::uint64_t kTgcHeaderBytes = 120;
-
-std::uint32_t get_u32(const std::byte* p) {
-    std::uint32_t v = 0;
-    std::memcpy(&v, p, 4);
-    return v;
-}
-
-std::uint64_t get_u64(const std::byte* p) {
-    std::uint64_t v = 0;
-    std::memcpy(&v, p, 8);
-    return v;
-}
-
-std::uint32_t crc_over(const std::byte* p, std::uint64_t n) {
-    return hash::crc32(std::span<const std::uint8_t>(
-        reinterpret_cast<const std::uint8_t*>(p),
-        static_cast<std::size_t>(n)));
-}
-
-/// Format-agnostic framing of an image: everything needed to locate the
-/// sections and the seal without a Stats type.
-struct RawLayout {
-    const char* format = "";
-    std::uint64_t header_bytes = 0;
-    std::uint32_t version = 0;
-    bool sealed = false;
-    std::uint32_t id = 0;
-    std::uint64_t fingerprint = 0;
-    std::uint64_t unit_count = 0;
-    std::uint64_t cursor = 0;
-    std::uint64_t shard_count = 0;
-    std::uint64_t record_bytes = 0;
-    std::uint64_t records_bytes = 0;  ///< total stats/slice section size
-    std::uint64_t payload_bytes = 0;  ///< plane / state image size
-};
-
-/// Parse the framing of either format, applying the same structural size
-/// cross-checks as the typed readers (every strict prefix rejected, counts
-/// checked against the image size before anything is trusted).
-Expected<RawLayout> parse_raw(const std::vector<std::byte>& image,
-                              const std::string& origin) {
-    const std::uint64_t file_size = image.size();
-    if (file_size < sizeof(kCkpMagic)) {
-        return truncated("image of " + std::to_string(file_size) +
-                             " bytes from '" + origin +
-                             "' is too short for a format magic",
-                         file_size);
-    }
-    const std::byte* p = image.data();
-    RawLayout raw;
-    if (std::memcmp(p, kCkpMagic, sizeof(kCkpMagic)) == 0) {
-        raw.format = "P4LRUCKP";
-        raw.header_bytes = kCkpHeaderBytes;
-    } else if (std::memcmp(p, kTgcMagic, sizeof(kTgcMagic)) == 0) {
-        raw.format = "P4LRUTGC";
-        raw.header_bytes = kTgcHeaderBytes;
-    } else {
-        return corrupt("unknown checkpoint magic in " + origin, 0);
-    }
-    if (file_size < raw.header_bytes) {
-        return truncated("image of " + std::to_string(file_size) +
-                             " bytes from '" + origin +
-                             "' is shorter than the " + raw.format +
-                             " header",
-                         file_size);
-    }
-    raw.version = get_u32(p + 8);
-    if (raw.version != 1 && raw.version != 2) {
-        return corrupt("unsupported " + std::string(raw.format) +
-                           " version " + std::to_string(raw.version) +
-                           " in " + origin,
-                       8);
-    }
-    raw.sealed = raw.version == 2;
-    raw.id = get_u32(p + 12);
-    raw.fingerprint = get_u64(p + 16);
-    raw.unit_count = get_u64(p + 24);
-    raw.cursor = get_u64(p + 32);
-    const std::uint64_t seal = raw.sealed ? kSealBytes : 0;
-    if (file_size < raw.header_bytes + seal) {
-        return truncated("image of " + std::to_string(file_size) +
-                             " bytes from '" + origin +
-                             "' is shorter than header + seal footer",
-                         file_size);
-    }
-    const std::uint64_t body = file_size - raw.header_bytes - seal;
-    if (raw.header_bytes == kCkpHeaderBytes) {
-        raw.record_bytes = 32;  // one ReplayStats slice
-        raw.shard_count = get_u64(p + 136);
-        raw.payload_bytes = get_u64(p + 144);
-        if (raw.shard_count > body / raw.record_bytes) {
-            return corrupt("shard count " +
-                               std::to_string(raw.shard_count) +
-                               " exceeds file body of " +
-                               std::to_string(body) + " bytes",
-                           136);
-        }
-        raw.records_bytes = raw.shard_count * raw.record_bytes;
-        if (raw.payload_bytes > body - raw.records_bytes) {
-            return truncated(
-                "plane image of " + std::to_string(raw.payload_bytes) +
-                    " bytes promised; only " +
-                    std::to_string(body - raw.records_bytes) +
-                    " bytes follow the shard slices",
-                file_size);
-        }
-    } else {
-        raw.record_bytes = get_u32(p + 104);
-        raw.shard_count = get_u32(p + 108);
-        raw.payload_bytes = get_u64(p + 112);
-        raw.records_bytes = raw.record_bytes * (1 + raw.shard_count);
-        if (raw.record_bytes == 0 || raw.records_bytes > body ||
-            raw.payload_bytes > body - raw.records_bytes) {
-            return truncated(
-                "stats records of " + std::to_string(raw.records_bytes) +
-                    " bytes + state image of " +
-                    std::to_string(raw.payload_bytes) +
-                    " bytes promised; file body holds " +
-                    std::to_string(body) + " bytes",
-                file_size);
-        }
-    }
-    const std::uint64_t expected =
-        raw.header_bytes + raw.records_bytes + raw.payload_bytes + seal;
-    if (file_size > expected) {
-        return corrupt(std::to_string(file_size - expected) +
-                           " trailing bytes past the promised size",
-                       expected);
-    }
-    return raw;
-}
-
-/// The two record-section names differ between formats only in wording.
-const char* records_name(const RawLayout& raw) {
-    return raw.header_bytes == kCkpHeaderBytes ? "shard slices"
-                                               : "stats records";
-}
-const char* payload_name(const RawLayout& raw) {
-    return raw.header_bytes == kCkpHeaderBytes ? "plane image"
-                                               : "state image";
-}
 
 /// Record elapsed ns since `t0` into `hist` (null = no-op); shared by every
 /// timed IO site below.
@@ -380,92 +225,6 @@ Status atomic_write_file(const std::string& path,
     }
 #endif
     return Status::ok();
-}
-
-Status verify_checkpoint_image(const std::vector<std::byte>& image,
-                               const std::string& origin) {
-    Expected<RawLayout> raw = parse_raw(image, origin);
-    if (!raw.is_ok()) return raw.status();
-    const RawLayout& r = raw.value();
-    if (!r.sealed) return Status::ok();  // v1: structural checks only
-    const std::byte* p = image.data();
-    const std::uint64_t footer_off =
-        r.header_bytes + r.records_bytes + r.payload_bytes;
-    const std::byte* footer = p + footer_off;
-    const auto check = [&](std::uint64_t off, std::uint64_t len, int which,
-                           const char* name) -> Status {
-        const std::uint32_t stored = get_u32(footer + 4 * which);
-        const std::uint32_t computed = crc_over(p + off, len);
-        if (stored != computed) {
-            return corrupt(std::string(name) + " CRC mismatch in " + origin,
-                           off);
-        }
-        return Status::ok();
-    };
-    if (Status st = check(footer_off, 12, 3, "seal footer"); !st.is_ok()) {
-        return st;
-    }
-    if (Status st = check(0, r.header_bytes, 0, "header"); !st.is_ok()) {
-        return st;
-    }
-    if (Status st =
-            check(r.header_bytes, r.records_bytes, 1, records_name(r));
-        !st.is_ok()) {
-        return st;
-    }
-    if (Status st = check(r.header_bytes + r.records_bytes, r.payload_bytes,
-                          2, payload_name(r));
-        !st.is_ok()) {
-        return st;
-    }
-    return Status::ok();
-}
-
-Expected<ImageInfo> describe_checkpoint_image(
-    const std::vector<std::byte>& image, const std::string& origin) {
-    Expected<RawLayout> raw = parse_raw(image, origin);
-    if (!raw.is_ok()) {
-        // Header unreadable or framing broken: describe what we can only
-        // if the magic resolved; otherwise propagate.
-        return raw.status();
-    }
-    const RawLayout& r = raw.value();
-    ImageInfo info;
-    info.format = r.format;
-    info.version = r.version;
-    info.sealed = r.sealed;
-    info.id = r.id;
-    info.fingerprint = r.fingerprint;
-    info.unit_count = r.unit_count;
-    info.cursor = r.cursor;
-    info.shard_count = r.shard_count;
-    info.record_bytes = r.record_bytes;
-    info.payload_bytes = r.payload_bytes;
-    info.file_bytes = image.size();
-    if (r.sealed) {
-        const std::byte* p = image.data();
-        const std::uint64_t footer_off =
-            r.header_bytes + r.records_bytes + r.payload_bytes;
-        const std::byte* footer = p + footer_off;
-        const auto add = [&](const char* name, std::uint64_t begin,
-                             std::uint64_t len, int which) {
-            SectionCheck sc;
-            sc.name = name;
-            sc.begin = begin;
-            sc.end = begin + len;
-            sc.stored = get_u32(footer + 4 * which);
-            sc.computed = crc_over(p + begin, len);
-            sc.ok = sc.stored == sc.computed;
-            info.sections.push_back(std::move(sc));
-        };
-        add("header", 0, r.header_bytes, 0);
-        add(records_name(r), r.header_bytes, r.records_bytes, 1);
-        add(payload_name(r), r.header_bytes + r.records_bytes,
-            r.payload_bytes, 2);
-        add("seal footer", footer_off, 12, 3);
-    }
-    info.verdict = verify_checkpoint_image(image, origin);
-    return info;
 }
 
 Status DurableStore::ensure_dir() const {

@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "p4lru/core/p4lru.hpp"
@@ -15,6 +14,7 @@
 #include "p4lru/replay/replay.hpp"
 #include "p4lru/trace/trace_gen.hpp"
 #include "p4lru/trace/ycsb.hpp"
+#include "../test_util.hpp"
 
 namespace p4lru::replay {
 namespace {
@@ -79,8 +79,7 @@ ShardedConfig chaos_config(std::size_t shards) {
 TEST(ChaosEquivalence, StalledWorkerIsDrainedInlineZipf) {
     const auto ops = zipf_ops();
     FlowCache seq_cache(1024, 0xC0);
-    const auto seq = replay_sequential(
-        seq_cache, std::span<const ReplayOp<FlowKey, std::uint32_t>>(ops));
+    const auto seq = testutil::reference_replay(seq_cache, ops);
 
     fault::FaultPlan plan;
     plan.stall_worker(/*shard=*/0, /*at_batch=*/0);  // dead from the start
@@ -88,9 +87,8 @@ TEST(ChaosEquivalence, StalledWorkerIsDrainedInlineZipf) {
     const fault::InjectedFaults faults(plan);
 
     FlowCache cache(1024, 0xC0);
-    const auto rep = replay_sharded(
-        cache, std::span<const ReplayOp<FlowKey, std::uint32_t>>(ops),
-        chaos_config(4), faults);
+    const auto rep = testutil::sharded_replay(
+        CacheReplayTarget(cache), ops, chaos_config(4), faults);
 
     EXPECT_GE(rep.drained_inline, 1u);
     EXPECT_TRUE(rep.degraded());
@@ -101,18 +99,15 @@ TEST(ChaosEquivalence, StalledWorkerIsDrainedInlineZipf) {
 TEST(ChaosEquivalence, StalledWorkerIsDrainedInlineYcsb) {
     const auto ops = ycsb_ops();
     KeyCache seq_cache(2048, 0xF1);
-    const auto seq = replay_sequential(
-        seq_cache,
-        std::span<const ReplayOp<std::uint64_t, std::uint64_t>>(ops));
+    const auto seq = testutil::reference_replay(seq_cache, ops);
 
     fault::FaultPlan plan;
     plan.stall_worker(1, 0);
     const fault::InjectedFaults faults(plan);
 
     KeyCache cache(2048, 0xF1);
-    const auto rep = replay_sharded(
-        cache, std::span<const ReplayOp<std::uint64_t, std::uint64_t>>(ops),
-        chaos_config(4), faults);
+    const auto rep = testutil::sharded_replay(
+        CacheReplayTarget(cache), ops, chaos_config(4), faults);
 
     EXPECT_GE(rep.drained_inline, 1u);
     EXPECT_EQ(rep.stats, seq);
@@ -122,8 +117,7 @@ TEST(ChaosEquivalence, StalledWorkerIsDrainedInlineYcsb) {
 TEST(ChaosEquivalence, DelayedBatchesOnlySlowThingsDown) {
     const auto ops = zipf_ops();
     FlowCache seq_cache(1024, 0xD1);
-    const auto seq = replay_sequential(
-        seq_cache, std::span<const ReplayOp<FlowKey, std::uint32_t>>(ops));
+    const auto seq = testutil::reference_replay(seq_cache, ops);
 
     fault::FaultPlan plan;
     for (std::uint64_t b = 0; b < 8; ++b) {
@@ -132,9 +126,8 @@ TEST(ChaosEquivalence, DelayedBatchesOnlySlowThingsDown) {
     const fault::InjectedFaults faults(plan);
 
     FlowCache cache(1024, 0xD1);
-    const auto rep = replay_sharded(
-        cache, std::span<const ReplayOp<FlowKey, std::uint32_t>>(ops),
-        chaos_config(4), faults);
+    const auto rep = testutil::sharded_replay(
+        CacheReplayTarget(cache), ops, chaos_config(4), faults);
 
     EXPECT_EQ(rep.stats, seq);
     expect_same_contents(seq_cache, cache);
@@ -143,17 +136,15 @@ TEST(ChaosEquivalence, DelayedBatchesOnlySlowThingsDown) {
 TEST(ChaosEquivalence, EveryWorkerDeadStillCompletes) {
     const auto ops = zipf_ops();
     FlowCache seq_cache(512, 0xA7);
-    const auto seq = replay_sequential(
-        seq_cache, std::span<const ReplayOp<FlowKey, std::uint32_t>>(ops));
+    const auto seq = testutil::reference_replay(seq_cache, ops);
 
     fault::FaultPlan plan;
     for (std::uint32_t s = 0; s < 4; ++s) plan.stall_worker(s, 0);
     const fault::InjectedFaults faults(plan);
 
     FlowCache cache(512, 0xA7);
-    const auto rep = replay_sharded(
-        cache, std::span<const ReplayOp<FlowKey, std::uint32_t>>(ops),
-        chaos_config(4), faults);
+    const auto rep = testutil::sharded_replay(
+        CacheReplayTarget(cache), ops, chaos_config(4), faults);
 
     EXPECT_EQ(rep.stats, seq)
         << "with all workers parked the dispatcher runs the whole replay";
@@ -163,8 +154,7 @@ TEST(ChaosEquivalence, EveryWorkerDeadStillCompletes) {
 TEST(ChaosEquivalence, WatchdogAbandonsWorkerStalledMidSleep) {
     const auto ops = zipf_ops();
     FlowCache seq_cache(1024, 0xB3);
-    const auto seq = replay_sequential(
-        seq_cache, std::span<const ReplayOp<FlowKey, std::uint32_t>>(ops));
+    const auto seq = testutil::reference_replay(seq_cache, ops);
 
     // A sleep far past the stall timeout wedges the worker while the tiny
     // ring fills: the watchdog must abandon it and finish its shard inline.
@@ -175,9 +165,8 @@ TEST(ChaosEquivalence, WatchdogAbandonsWorkerStalledMidSleep) {
     FlowCache cache(1024, 0xB3);
     auto cfg = chaos_config(4);
     cfg.robust.stall_timeout_us = 1'000;
-    const auto rep = replay_sharded(
-        cache, std::span<const ReplayOp<FlowKey, std::uint32_t>>(ops), cfg,
-        faults);
+    const auto rep =
+        testutil::sharded_replay(CacheReplayTarget(cache), ops, cfg, faults);
 
     EXPECT_GE(rep.abandoned_workers, 1u);
     EXPECT_GE(rep.drained_inline, 1u);
@@ -192,8 +181,7 @@ TEST(ChaosEquivalence, WatchdogAbandonsWorkerStalledMidSleep) {
 TEST(ChaosEquivalence, SeededChaosPlansStayEquivalent) {
     const auto ops = zipf_ops();
     FlowCache seq_cache(1024, 0x5C);
-    const auto seq = replay_sequential(
-        seq_cache, std::span<const ReplayOp<FlowKey, std::uint32_t>>(ops));
+    const auto seq = testutil::reference_replay(seq_cache, ops);
 
     fault::ChaosSpec spec;
     spec.shards = 4;
@@ -206,9 +194,8 @@ TEST(ChaosEquivalence, SeededChaosPlansStayEquivalent) {
         const auto plan = fault::FaultPlan::chaos(seed, spec);
         const fault::InjectedFaults faults(plan);
         FlowCache cache(1024, 0x5C);
-        const auto rep = replay_sharded(
-            cache, std::span<const ReplayOp<FlowKey, std::uint32_t>>(ops),
-            chaos_config(4), faults);
+        const auto rep = testutil::sharded_replay(
+            CacheReplayTarget(cache), ops, chaos_config(4), faults);
         EXPECT_EQ(rep.stats, seq) << "chaos seed " << seed;
         expect_same_contents(seq_cache, cache);
     }
@@ -221,8 +208,8 @@ TEST(ChaosEquivalence, NoFaultsRunReportsHealthy) {
     // Generous watchdog so a descheduled-but-healthy worker on a loaded CI
     // box is never mistaken for a dead one.
     cfg.robust.stall_timeout_us = 500'000;
-    const auto rep = replay_sharded(
-        cache, std::span<const ReplayOp<FlowKey, std::uint32_t>>(ops), cfg);
+    const auto rep =
+        testutil::sharded_replay(CacheReplayTarget(cache), ops, cfg);
     EXPECT_EQ(rep.abandoned_workers, 0u);
     EXPECT_FALSE(rep.degraded());
 }

@@ -45,11 +45,11 @@
 #include "p4lru/obs/exposition.hpp"
 #include "p4lru/obs/metrics.hpp"
 #include "p4lru/obs/sampler.hpp"
-#include "p4lru/replay/checkpoint_io.hpp"
 #include "p4lru/replay/durable_store.hpp"
 #include "p4lru/replay/op_source.hpp"
 #include "p4lru/replay/replay.hpp"
 #include "p4lru/replay/supervisor.hpp"
+#include "p4lru/replay/target_checkpoint.hpp"
 #include "p4lru/trace/trace_gen.hpp"
 #include "p4lru/trace/trace_io.hpp"
 #include "p4lru/trace/trace_source.hpp"
@@ -95,7 +95,7 @@ int main() {
         std::span<const replay::ReplayOp<FlowKey, std::uint32_t>>(ops);
 
     Cache seq_cache(1024, 0x7A);
-    const auto seq = replay::replay_sequential(seq_cache, span);
+    const auto seq = testutil::reference_replay(seq_cache, span);
 
     replay::ShardedConfig cfg;
     cfg.shards = 4;
@@ -133,7 +133,8 @@ int main() {
         const auto plan = fault::FaultPlan::chaos(seed, spec);
         const fault::InjectedFaults faults(plan);
         Cache cache(1024, 0x7A);
-        const auto rep = replay::replay_sharded(cache, span, cfg, faults);
+        const auto rep = testutil::sharded_replay(
+            replay::CacheReplayTarget(cache), span, cfg, faults);
         if (!(rep.stats == seq)) {
             std::fprintf(
                 stderr,
@@ -154,14 +155,17 @@ int main() {
         // checkpoint emission.  Kill at a seed-chosen checkpoint, push it
         // through the disk format, resume on a fresh cache, and demand the
         // sequential statistics and plane bytes again.
-        std::vector<replay::ShardedCheckpoint> cps;
+        using Checkpoint = replay::TargetCheckpoint<replay::ReplayStats>;
+        std::vector<Checkpoint> cps;
         Cache ck_cache(1024, 0x7A);
-        const auto ck_rep = replay::replay_sharded_checkpointed(
-            ck_cache, span, cfg, /*every_batches=*/64 + seed % 96,
-            [&](replay::ShardedCheckpoint&& cp) {
-                cps.push_back(std::move(cp));
-            },
-            faults);
+        replay::CacheReplayTarget ck_target(ck_cache);
+        replay::SpanOpSource ck_source(span);
+        const auto ck_rep =
+            replay::replay_target_checkpointed_stream(
+                ck_target, ck_source, cfg, /*every_batches=*/64 + seed % 96,
+                [&](Checkpoint&& cp) { cps.push_back(std::move(cp)); },
+                faults)
+                .value();
         if (!(ck_rep.stats == seq) || cps.empty()) {
             std::fprintf(stderr,
                          "\nchaos seed %llu: checkpointed run diverged "
@@ -176,30 +180,37 @@ int main() {
         const auto& cp = cps[seed % cps.size()];
         const auto path = scratch.file("p4lru_chaos_ckpt_" +
                                        std::to_string(seed) + ".bin");
-        if (const auto st = replay::write_checkpoint(path, cp); !st.is_ok()) {
-            std::fprintf(stderr, "\nchaos seed %llu: write_checkpoint: %s\n",
+        if (const auto st = replay::write_target_checkpoint(path, cp);
+            !st.is_ok()) {
+            std::fprintf(stderr,
+                         "\nchaos seed %llu: write_target_checkpoint: %s\n",
                          static_cast<unsigned long long>(seed),
                          st.to_string().c_str());
             return 1;
         }
-        auto rd = replay::read_checkpoint_checked(path);
+        auto rd =
+            replay::read_target_checkpoint_checked<replay::ReplayStats>(path);
         if (!rd.is_ok()) {
             std::fprintf(stderr,
-                         "\nchaos seed %llu: read_checkpoint_checked: %s\n",
+                         "\nchaos seed %llu: read_target_checkpoint_checked: "
+                         "%s\n",
                          static_cast<unsigned long long>(seed),
                          rd.status().to_string().c_str());
             return 1;
         }
         Cache resumed(1024, 0x7A);
-        const auto res =
-            replay::resume_sharded(resumed, span, rd.value(), cfg, faults);
+        replay::CacheReplayTarget resumed_target(resumed);
+        replay::SpanOpSource resume_source(span);
+        const auto res = replay::resume_target_checkpointed_stream(
+            resumed_target, resume_source, rd.value(), cfg,
+            /*every_batches=*/0, [](auto&&) {}, faults);
         if (!res.is_ok() || !(res.value().stats == seq)) {
             std::fprintf(
                 stderr,
                 "\nchaos seed %llu: resume from disk checkpoint at cursor "
                 "%llu diverged (%s); re-run with P4LRU_CHAOS_SEEDS=%llu\n",
                 static_cast<unsigned long long>(seed),
-                static_cast<unsigned long long>(cp.base.cursor),
+                static_cast<unsigned long long>(cp.cursor),
                 res.is_ok() ? "stats mismatch"
                             : res.status().to_string().c_str(),
                 static_cast<unsigned long long>(seed));
@@ -409,8 +420,9 @@ int main() {
             }
             auto stream = replay::packet_op_source(*src.value());
             Cache io_cache(1024, 0x7A);
-            const auto io_rep =
-                replay::replay_sharded_stream(io_cache, stream, cfg, faults);
+            replay::CacheReplayTarget io_target(io_cache);
+            const auto io_rep = replay::replay_target_sharded_stream(
+                io_target, stream, cfg, faults);
             if (!io_rep.is_ok() || !(io_rep.value().stats == seq)) {
                 std::fprintf(
                     stderr,
@@ -450,7 +462,7 @@ int main() {
             rep.drained_inline, rep.abandoned_workers,
             static_cast<unsigned long long>(rep.backpressure_waits),
             static_cast<std::size_t>(seed % cps.size()) + 1, cps.size(),
-            static_cast<unsigned long long>(cp.base.cursor),
+            static_cast<unsigned long long>(cp.cursor),
             sv.value().attempts, sv.value().crashes,
             static_cast<unsigned long long>(sv.value().installs),
             static_cast<unsigned long long>(sv.value().resumed_from_gen));

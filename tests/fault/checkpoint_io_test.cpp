@@ -1,10 +1,12 @@
-// On-disk checkpoint format hardening (mirrors trace_io_test): round-trip
-// fidelity for both checkpoint kinds, an exhaustive all-prefix truncation
-// sweep, count-field corruption that must not drive allocations, and the
-// cross-layout rejection the new layout tag exists for — a checkpoint
-// written from one storage layout must refuse to resume into the other
-// even when it reaches the cache through a byte-faithful disk round-trip.
-#include "p4lru/replay/checkpoint_io.hpp"
+// On-disk checkpoint format hardening (mirrors trace_io_test), over bare
+// caches of both storage layouts behind CacheReplayTarget: round-trip
+// fidelity with and without shard slices, an exhaustive all-prefix
+// truncation sweep, count and size fields that must neither drive an
+// allocation nor wrap the size arithmetic into an over-read, and the
+// cross-layout rejection the layout tag exists for — a checkpoint written
+// from one storage layout must refuse to resume into the other even when it
+// reaches the cache through a byte-faithful disk round-trip.
+#include "p4lru/replay/target_checkpoint.hpp"
 
 #include <gtest/gtest.h>
 
@@ -17,7 +19,6 @@
 #include <vector>
 
 #include "p4lru/core/p4lru.hpp"
-#include "p4lru/replay/checkpoint.hpp"
 #include "p4lru/trace/trace_gen.hpp"
 #include "../test_util.hpp"
 
@@ -31,6 +32,7 @@ using AosFlowCache =
     core::AosParallelCache<core::P4lru<FlowKey, std::uint32_t, 3>, FlowKey,
                            std::uint32_t>;
 using Ops = std::span<const ReplayOp<FlowKey, std::uint32_t>>;
+using Checkpoint = TargetCheckpoint<ReplayStats>;
 
 std::vector<ReplayOp<FlowKey, std::uint32_t>> small_ops() {
     trace::TraceConfig cfg;
@@ -39,38 +41,68 @@ std::vector<ReplayOp<FlowKey, std::uint32_t>> small_ops() {
     return ops_from_packets(trace::generate_trace(cfg));
 }
 
+/// A cut of `cache` taken between ops: no shard slices, no telemetry.
+template <typename Cache>
+Checkpoint snapshot(Cache& cache, std::uint64_t cursor,
+                    const ReplayStats& stats) {
+    CheckpointCut cut;
+    cut.cursor = cursor;
+    cut.stats = stats;
+    return take_target_checkpoint(CacheReplayTarget(cache), cut);
+}
+
+/// Overwrite sizeof(T) bytes at `off` with the host image of `v` (the
+/// format is little-endian, as is every supported host).
+template <typename T>
+void patch(std::vector<std::byte>& bytes, std::size_t off, T v) {
+    std::memcpy(bytes.data() + off, &v, sizeof(T));
+}
+
 class CheckpointIoTest : public ::testing::Test {
   protected:
     void SetUp() override { path_ = dir_.file("ckpt.bin"); }
 
-    /// A mid-run sharded checkpoint with non-trivial telemetry and several
+    /// A mid-run threaded checkpoint with non-trivial telemetry and several
     /// shard slices, over a small cache so the sweep stays fast.
-    ShardedCheckpoint sample_checkpoint() {
+    template <typename Cache = FlowCache>
+    Checkpoint sample_checkpoint() {
         const auto ops = small_ops();
-        FlowCache cache(64, 0x9D);
+        Cache cache(64, 0x9D);
+        CacheReplayTarget target(cache);
+        SpanOpSource source{Ops(ops)};
         ShardedConfig cfg;
         cfg.shards = 3;
         cfg.batch_ops = 128;
         cfg.mode = Mode::kThreaded;
-        std::vector<ShardedCheckpoint> cps;
-        (void)replay_sharded_checkpointed(
-            cache, Ops(ops), cfg, /*every_batches=*/24,
-            [&](ShardedCheckpoint&& cp) { cps.push_back(std::move(cp)); });
+        std::vector<Checkpoint> cps;
+        (void)replay_target_checkpointed_stream(
+            target, source, cfg, /*every_batches=*/24,
+            [&](Checkpoint&& cp) { cps.push_back(std::move(cp)); });
         EXPECT_FALSE(cps.empty());
         return cps.front();
+    }
+
+    [[nodiscard]] Expected<Checkpoint> read() const {
+        return read_target_checkpoint_checked<ReplayStats>(path_);
+    }
+
+    void write_raw(const std::vector<std::byte>& bytes) const {
+        std::ofstream os(path_, std::ios::binary | std::ios::trunc);
+        os.write(reinterpret_cast<const char*>(bytes.data()),
+                 static_cast<std::streamsize>(bytes.size()));
     }
 
     testutil::ScopedTempDir dir_{"p4lru_ckpt_io"};
     std::string path_;
 };
 
-void expect_equal(const ShardedCheckpoint& a, const ShardedCheckpoint& b) {
-    EXPECT_EQ(a.base.cursor, b.base.cursor);
-    EXPECT_EQ(a.base.stats, b.base.stats);
-    EXPECT_EQ(a.base.unit_count, b.base.unit_count);
-    EXPECT_EQ(a.base.layout_id, b.base.layout_id);
-    EXPECT_EQ(a.base.plane_fingerprint, b.base.plane_fingerprint);
-    EXPECT_EQ(a.base.planes, b.base.planes);
+void expect_equal(const Checkpoint& a, const Checkpoint& b) {
+    EXPECT_EQ(a.cursor, b.cursor);
+    EXPECT_EQ(a.stats, b.stats);
+    EXPECT_EQ(a.unit_count, b.unit_count);
+    EXPECT_EQ(a.state_id, b.state_id);
+    EXPECT_EQ(a.state_fingerprint, b.state_fingerprint);
+    EXPECT_EQ(a.state, b.state);
     EXPECT_EQ(a.shard_stats, b.shard_stats);
     EXPECT_EQ(a.delivered_batches, b.delivered_batches);
     EXPECT_EQ(a.backpressure_waits, b.backpressure_waits);
@@ -81,33 +113,41 @@ void expect_equal(const ShardedCheckpoint& a, const ShardedCheckpoint& b) {
 }
 
 TEST_F(CheckpointIoTest, ShardedRoundTripPreservesEveryField) {
-    const auto cp = sample_checkpoint();
-    ASSERT_TRUE(write_checkpoint(path_, cp).is_ok());
-    const auto rd = read_checkpoint_checked(path_);
-    ASSERT_TRUE(rd.is_ok()) << rd.status().to_string();
-    expect_equal(cp, rd.value());
+    for (const auto& cp : {sample_checkpoint<FlowCache>(),
+                           sample_checkpoint<AosFlowCache>()}) {
+        ASSERT_FALSE(cp.shard_stats.empty());
+        ASSERT_TRUE(write_target_checkpoint(path_, cp).is_ok());
+        const auto rd = read();
+        ASSERT_TRUE(rd.is_ok()) << rd.status().to_string();
+        expect_equal(cp, rd.value());
+    }
 }
 
+/// A checkpoint cut between ops (no shard slices, as a resumed run also
+/// emits) goes through the same reader and resumes to the reference end.
 TEST_F(CheckpointIoTest, SequentialCheckpointRoundTripsThroughSameReader) {
     const auto ops = small_ops();
     FlowCache cache(64, 0x9D);
-    ReplayStats s = replay_sequential(cache, Ops(ops).first(10'000));
-    const auto cp = take_checkpoint(cache, 10'000, s);
-    ASSERT_TRUE(write_checkpoint(path_, cp).is_ok());
-    const auto rd = read_checkpoint_checked(path_);
+    const ReplayStats s =
+        testutil::reference_replay(cache, Ops(ops).first(10'000));
+    const auto cp = snapshot(cache, 10'000, s);
+    ASSERT_TRUE(write_target_checkpoint(path_, cp).is_ok());
+    const auto rd = read();
     ASSERT_TRUE(rd.is_ok()) << rd.status().to_string();
     EXPECT_TRUE(rd.value().shard_stats.empty());
-    EXPECT_EQ(rd.value().base.planes, cp.planes);
+    EXPECT_EQ(rd.value().state, cp.state);
 
     FlowCache resumed(64, 0x9D);
-    const auto res = resume_sequential(resumed, Ops(ops), rd.value().base);
+    const auto res =
+        testutil::resume_replay(CacheReplayTarget(resumed), ops, rd.value());
     ASSERT_TRUE(res.is_ok()) << res.status().to_string();
     FlowCache ref(64, 0x9D);
-    EXPECT_EQ(res.value(), replay_sequential(ref, Ops(ops)));
+    EXPECT_EQ(res.value().stats, testutil::reference_replay(ref, ops));
 }
 
 TEST_F(CheckpointIoTest, MissingFileIsIoErrorWithPathAndErrno) {
-    const auto rd = read_checkpoint_checked("/nonexistent/dir/x.ckpt");
+    const auto rd =
+        read_target_checkpoint_checked<ReplayStats>("/nonexistent/dir/x.ckpt");
     ASSERT_FALSE(rd.is_ok());
     EXPECT_EQ(rd.status().code(), ErrorCode::kIoError);
     // The errno satellite: the message must carry the offending path and
@@ -123,57 +163,83 @@ TEST_F(CheckpointIoTest, BadMagicRejectedAtOffsetZero) {
     std::ofstream os(path_, std::ios::binary);
     os << std::string(200, 'x');
     os.close();
-    const auto rd = read_checkpoint_checked(path_);
+    const auto rd = read();
     ASSERT_FALSE(rd.is_ok());
     EXPECT_EQ(rd.status().code(), ErrorCode::kCorrupt);
     EXPECT_EQ(rd.status().offset(), 0u);
 }
 
 TEST_F(CheckpointIoTest, WrongVersionRejected) {
-    ASSERT_TRUE(write_checkpoint(path_, sample_checkpoint()).is_ok());
-    std::fstream f(path_, std::ios::binary | std::ios::in | std::ios::out);
-    f.seekp(8);
-    const std::uint32_t bad = 99;
-    f.write(reinterpret_cast<const char*>(&bad), 4);
-    f.close();
-    const auto rd = read_checkpoint_checked(path_);
+    auto bytes = serialize_target_checkpoint(sample_checkpoint()).bytes;
+    patch<std::uint32_t>(bytes, 8, 99);
+    write_raw(bytes);
+    const auto rd = read();
     ASSERT_FALSE(rd.is_ok());
     EXPECT_EQ(rd.status().code(), ErrorCode::kCorrupt);
     EXPECT_EQ(rd.status().offset(), 8u);
 }
 
 TEST_F(CheckpointIoTest, InsaneShardCountRejectedBeforeAllocating) {
-    ASSERT_TRUE(write_checkpoint(path_, sample_checkpoint()).is_ok());
-    std::fstream f(path_, std::ios::binary | std::ios::in | std::ios::out);
-    f.seekp(136);  // shard count field
-    const std::uint64_t bad = ~std::uint64_t{0} / 2;
-    f.write(reinterpret_cast<const char*>(&bad), 8);
-    f.close();
-    const auto rd = read_checkpoint_checked(path_);
+    // 2^32 - 1 slices of 32 bytes would be a 128 GiB allocation; the size
+    // cross-check must refuse it from the header alone.
+    auto bytes = serialize_target_checkpoint(sample_checkpoint()).bytes;
+    patch<std::uint32_t>(bytes, 108, ~std::uint32_t{0});  // shard count
+    write_raw(bytes);
+    const auto rd = read();
     ASSERT_FALSE(rd.is_ok());
-    EXPECT_EQ(rd.status().code(), ErrorCode::kCorrupt);
-    EXPECT_EQ(rd.status().offset(), 136u);
+    EXPECT_EQ(rd.status().code(), ErrorCode::kTruncated);
+    EXPECT_EQ(rd.status().offset(), bytes.size());
 }
 
 TEST_F(CheckpointIoTest, OversizedPlanePromiseRejected) {
-    ASSERT_TRUE(write_checkpoint(path_, sample_checkpoint()).is_ok());
-    std::fstream f(path_, std::ios::binary | std::ios::in | std::ios::out);
-    f.seekp(144);  // plane size field
-    const std::uint64_t bad = ~std::uint64_t{0} - 64;
-    f.write(reinterpret_cast<const char*>(&bad), 8);
-    f.close();
-    const auto rd = read_checkpoint_checked(path_);
+    auto bytes = serialize_target_checkpoint(sample_checkpoint()).bytes;
+    patch<std::uint64_t>(bytes, 112, ~std::uint64_t{0} - 64);  // state size
+    write_raw(bytes);
+    const auto rd = read();
     ASSERT_FALSE(rd.is_ok());
     EXPECT_EQ(rd.status().code(), ErrorCode::kTruncated);
 }
 
+/// Regression: the state-size field is an untrusted u64, and the reader
+/// once checked `size == 120 + R*(1+S) + P + seal` — a sum a crafted P can
+/// wrap back to the real file size, after which the parser read past the
+/// buffer.  A bare 120-byte v1 image (P = 2^64 - 32), a 120-byte sealed v2
+/// image (P = 2^64 - 48) and a v2 image with room for its footer (136
+/// bytes, P = 2^64 - 32) must all come back as a typed rejection.
+TEST_F(CheckpointIoTest, WrappingStatePromiseRejectedWithoutOverRead) {
+    const auto image = serialize_target_checkpoint(sample_checkpoint());
+    struct Case {
+        std::uint32_t version;
+        std::uint64_t state_bytes;
+        std::size_t file_bytes;
+    };
+    for (const Case c : {Case{1, ~std::uint64_t{0} - 31, 120},
+                         Case{2, ~std::uint64_t{0} - 47, 120},
+                         Case{2, ~std::uint64_t{0} - 31, 136}}) {
+        std::vector<std::byte> bytes(image.bytes.begin(),
+                                     image.bytes.begin() + 120);
+        bytes.resize(c.file_bytes);
+        patch<std::uint32_t>(bytes, 8, c.version);
+        patch<std::uint32_t>(bytes, 104, sizeof(ReplayStats));  // R = 32
+        patch<std::uint32_t>(bytes, 108, 0);                     // S = 0
+        patch<std::uint64_t>(bytes, 112, c.state_bytes);
+        const auto r = parse_target_checkpoint<ReplayStats>(bytes, "crafted");
+        ASSERT_FALSE(r.is_ok()) << "v" << c.version << ", " << c.file_bytes
+                                << " bytes: accepted";
+        EXPECT_TRUE(r.status().code() == ErrorCode::kTruncated ||
+                    r.status().code() == ErrorCode::kCorrupt)
+            << r.status().to_string();
+        EXPECT_FALSE(verify_checkpoint_image(bytes, "crafted").is_ok());
+    }
+}
+
 TEST_F(CheckpointIoTest, TrailingGarbageRejected) {
-    ASSERT_TRUE(write_checkpoint(path_, sample_checkpoint()).is_ok());
+    ASSERT_TRUE(write_target_checkpoint(path_, sample_checkpoint()).is_ok());
     const auto full = std::filesystem::file_size(path_);
     std::ofstream os(path_, std::ios::binary | std::ios::app);
     os << "junk";
     os.close();
-    const auto rd = read_checkpoint_checked(path_);
+    const auto rd = read();
     ASSERT_FALSE(rd.is_ok());
     EXPECT_EQ(rd.status().code(), ErrorCode::kCorrupt);
     EXPECT_EQ(rd.status().offset(), full);
@@ -182,17 +248,13 @@ TEST_F(CheckpointIoTest, TrailingGarbageRejected) {
 /// Mirror of trace_io_test's sweep: every strict prefix of a valid
 /// checkpoint file must be rejected with a typed error whose offset (when
 /// present) points inside the truncated file.  The sample cache is small
-/// (64 units) so the sweep covers header, shard slices and plane bytes in
+/// (64 units) so the sweep covers header, stats records and state bytes in
 /// a few thousand iterations.
 TEST_F(CheckpointIoTest, EveryTruncationPrefixIsRejectedWithOffset) {
-    const auto cp = sample_checkpoint();
-    ASSERT_TRUE(write_checkpoint(path_, cp).is_ok());
-    const auto full = std::filesystem::file_size(path_);
-
-    for (std::uintmax_t cut = 0; cut < full; ++cut) {
-        ASSERT_TRUE(write_checkpoint(path_, cp).is_ok());  // restore
-        std::filesystem::resize_file(path_, cut);
-        const auto r = read_checkpoint_checked(path_);
+    const auto bytes = serialize_target_checkpoint(sample_checkpoint()).bytes;
+    for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
+        write_raw(std::vector<std::byte>(bytes.begin(), bytes.begin() + cut));
+        const auto r = read();
         ASSERT_FALSE(r.is_ok()) << "prefix of " << cut << " bytes parsed";
         const auto code = r.status().code();
         EXPECT_TRUE(code == ErrorCode::kCorrupt ||
@@ -206,46 +268,45 @@ TEST_F(CheckpointIoTest, EveryTruncationPrefixIsRejectedWithOffset) {
 }
 
 /// The layout-tag satellite, end to end through disk: a checkpoint taken
-/// from the AoS layout must be rejected by a SoA cache (and vice versa)
-/// with kInvalidState — before any plane byte is interpreted — even though
+/// from the AoS layout must be rejected by a SoA cache with kInvalidState —
+/// before any plane byte is interpreted — in every engine mode, even though
 /// the file itself is perfectly well-formed.
 TEST_F(CheckpointIoTest, CrossLayoutResumeRejectedAfterDiskRoundTrip) {
     const auto ops = small_ops();
     AosFlowCache aos(64, 0x9D);
-    ReplayStats s = replay_sequential(aos, Ops(ops).first(5'000));
+    const ReplayStats s =
+        testutil::reference_replay(aos, Ops(ops).first(5'000));
     ASSERT_TRUE(
-        write_checkpoint(path_, take_checkpoint(aos, 5'000, s)).is_ok());
-    const auto rd = read_checkpoint_checked(path_);
+        write_target_checkpoint(path_, snapshot(aos, 5'000, s)).is_ok());
+    const auto rd = read();
     ASSERT_TRUE(rd.is_ok()) << rd.status().to_string();
 
-    FlowCache soa(64, 0x9D);
-    const auto res = resume_sequential(soa, Ops(ops), rd.value().base);
-    ASSERT_FALSE(res.is_ok()) << "SoA cache accepted an AoS checkpoint";
-    EXPECT_EQ(res.status().code(), ErrorCode::kInvalidState);
-
-    const auto sharded = resume_sharded(soa, Ops(ops), rd.value());
-    ASSERT_FALSE(sharded.is_ok());
-    EXPECT_EQ(sharded.status().code(), ErrorCode::kInvalidState);
+    for (const Mode mode : {Mode::kInline, Mode::kThreaded}) {
+        ShardedConfig cfg;
+        cfg.mode = mode;
+        FlowCache soa(64, 0x9D);
+        const auto res = testutil::resume_replay(
+            CacheReplayTarget(soa), ops, rd.value(), cfg);
+        ASSERT_FALSE(res.is_ok()) << "SoA cache accepted an AoS checkpoint";
+        EXPECT_EQ(res.status().code(), ErrorCode::kInvalidState);
+    }
 
     // Same-layout restore of the identical file stays accepted.
     AosFlowCache back(64, 0x9D);
-    const auto ok = resume_sequential(back, Ops(ops), rd.value().base);
+    const auto ok =
+        testutil::resume_replay(CacheReplayTarget(back), ops, rd.value());
     EXPECT_TRUE(ok.is_ok()) << ok.status().to_string();
 }
 
-/// Backward compatibility: a v1 file (same layout, no seal footer) — what
-/// every pre-durability PR wrote — must still parse, field for field.
+/// Backward compatibility: a v1 file (same layout, no seal footer) must
+/// still parse, field for field.
 TEST_F(CheckpointIoTest, LegacyV1FileWithoutSealStillAccepted) {
     const auto cp = sample_checkpoint();
-    const SerializedCheckpoint image = serialize_checkpoint(cp);
+    const SerializedCheckpoint image = serialize_target_checkpoint(cp);
     std::vector<std::byte> v1(image.bytes.begin(), image.bytes.end() - 16);
-    const std::uint32_t version1 = 1;
-    std::memcpy(v1.data() + 8, &version1, 4);
-    std::ofstream os(path_, std::ios::binary);
-    os.write(reinterpret_cast<const char*>(v1.data()),
-             static_cast<std::streamsize>(v1.size()));
-    os.close();
-    const auto rd = read_checkpoint_checked(path_);
+    patch<std::uint32_t>(v1, 8, 1);
+    write_raw(v1);
+    const auto rd = read();
     ASSERT_TRUE(rd.is_ok()) << rd.status().to_string();
     expect_equal(cp, rd.value());
 }
@@ -255,26 +316,26 @@ TEST_F(CheckpointIoTest, LegacyV1FileWithoutSealStillAccepted) {
 /// (The exhaustive every-bit sweep lives in durable_store_test; this is
 /// the targeted per-section smoke.)
 TEST_F(CheckpointIoTest, FlippedByteInEachSectionCaughtBySectionCrc) {
-    const auto cp = sample_checkpoint();
-    const SerializedCheckpoint image = serialize_checkpoint(cp);
+    const SerializedCheckpoint image =
+        serialize_target_checkpoint(sample_checkpoint());
     ASSERT_EQ(image.section_ends.size(), 4u);
-    const std::uint64_t slices_begin = image.section_ends[0];   // 152
-    const std::uint64_t planes_begin = image.section_ends[1];
+    const std::uint64_t records_begin = image.section_ends[0];  // 120
+    const std::uint64_t state_begin = image.section_ends[1];
     const std::uint64_t footer_begin = image.section_ends[2];
     struct Case {
         std::uint64_t flip_at;
         std::uint64_t expect_offset;
     };
     const Case cases[] = {
-        {slices_begin + 3, slices_begin},  // shard-slice byte
-        {planes_begin + 7, planes_begin},  // plane byte
-        {footer_begin + 1, footer_begin},  // a stored CRC itself
+        {records_begin + 3, records_begin},  // stats-record byte
+        {state_begin + 7, state_begin},      // state byte
+        {footer_begin + 1, footer_begin},    // a stored CRC itself
     };
     for (const auto& c : cases) {
         std::vector<std::byte> bad = image.bytes;
         bad[static_cast<std::size_t>(c.flip_at)] ^= std::byte{0x10};
-        const auto rd = parse_checkpoint(bad, "flip@" +
-                                                  std::to_string(c.flip_at));
+        const auto rd = parse_target_checkpoint<ReplayStats>(
+            bad, "flip@" + std::to_string(c.flip_at));
         ASSERT_FALSE(rd.is_ok()) << "flip at " << c.flip_at << " accepted";
         EXPECT_EQ(rd.status().code(), ErrorCode::kCorrupt);
         EXPECT_EQ(rd.status().offset(), c.expect_offset)
@@ -282,20 +343,21 @@ TEST_F(CheckpointIoTest, FlippedByteInEachSectionCaughtBySectionCrc) {
     }
 }
 
-/// Forged-but-plausible cross-layout image: even when an attacker-ish file
-/// carries plane bytes of exactly the size the target layout expects, the
-/// fingerprint check refuses it.
+/// Forged-but-plausible cross-layout image: even when a file carries state
+/// bytes of exactly the size the target layout expects, the fingerprint
+/// check refuses it.
 TEST_F(CheckpointIoTest, MatchingSizeButWrongFingerprintRejected) {
     FlowCache soa(64, 0x9D);
     soa.materialize();
-    ReplayCheckpoint cp = take_checkpoint(soa, 0, {});
-    cp.plane_fingerprint ^= 1;  // geometry lie; layout id and size intact
-    ASSERT_TRUE(write_checkpoint(path_, cp).is_ok());
-    const auto rd = read_checkpoint_checked(path_);
+    Checkpoint cp = snapshot(soa, 0, {});
+    cp.state_fingerprint ^= 1;  // geometry lie; layout id and size intact
+    ASSERT_TRUE(write_target_checkpoint(path_, cp).is_ok());
+    const auto rd = read();
     ASSERT_TRUE(rd.is_ok());
     const auto ops = small_ops();
     FlowCache target(64, 0x9D);
-    const auto res = resume_sequential(target, Ops(ops), rd.value().base);
+    const auto res =
+        testutil::resume_replay(CacheReplayTarget(target), ops, rd.value());
     ASSERT_FALSE(res.is_ok());
     EXPECT_EQ(res.status().code(), ErrorCode::kInvalidState);
 }

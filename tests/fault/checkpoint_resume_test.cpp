@@ -2,7 +2,7 @@
 // from the snapshot — on a fresh cache object — must reproduce the exact
 // final statistics and cache contents of the uninterrupted run (ISSUE
 // acceptance: kill-and-resume at 3 random cursors, bit-identical stats).
-#include "p4lru/replay/checkpoint.hpp"
+#include "p4lru/replay/target_checkpoint.hpp"
 
 #include <gtest/gtest.h>
 
@@ -14,6 +14,7 @@
 #include "p4lru/common/random.hpp"
 #include "p4lru/core/p4lru.hpp"
 #include "p4lru/trace/trace_gen.hpp"
+#include "../test_util.hpp"
 
 namespace p4lru::replay {
 namespace {
@@ -47,6 +48,18 @@ std::vector<ReplayOp<FlowKey, std::uint32_t>> zipf_ops() {
 }
 
 using Ops = std::span<const ReplayOp<FlowKey, std::uint32_t>>;
+using Checkpoint = TargetCheckpoint<ReplayStats>;
+
+/// Snapshot `cache` after it has applied exactly the op prefix [0, cursor)
+/// with statistics `stats` — a cut taken between ops on the owning thread.
+template <typename Cache>
+Checkpoint snapshot(Cache& cache, std::uint64_t cursor,
+                    const ReplayStats& stats) {
+    CheckpointCut cut;
+    cut.cursor = cursor;
+    cut.stats = stats;
+    return take_target_checkpoint(CacheReplayTarget(cache), cut);
+}
 
 /// Kill-and-resume at `cursor`: replay [0, cursor) on one cache, snapshot,
 /// restore the snapshot into a *fresh* cache (simulated process restart),
@@ -56,16 +69,17 @@ void kill_and_resume_at(const std::vector<ReplayOp<FlowKey, std::uint32_t>>&
                             ops,
                         std::size_t cursor) {
     Cache full(1024, 0x17);
-    const auto ref = replay_sequential(full, Ops(ops));
+    const auto ref = testutil::reference_replay(full, ops);
 
     Cache first(1024, 0x17);
-    const auto head = replay_sequential(first, Ops(ops).subspan(0, cursor));
-    const auto cp = take_checkpoint(first, cursor, head);
+    const auto head =
+        testutil::reference_replay(first, Ops(ops).subspan(0, cursor));
+    const auto cp = snapshot(first, cursor, head);
 
     Cache resumed(1024, 0x17);  // fresh object: nothing carried over
-    const auto r = resume_sequential(resumed, Ops(ops), cp);
+    const auto r = testutil::resume_replay(CacheReplayTarget(resumed), ops, cp);
     ASSERT_TRUE(r.is_ok()) << r.status().to_string();
-    EXPECT_EQ(r.value(), ref) << "cursor " << cursor;
+    EXPECT_EQ(r.value().stats, ref) << "cursor " << cursor;
     expect_same_contents(full, resumed);
 }
 
@@ -98,21 +112,30 @@ TEST(CheckpointResume, BoundaryCursors) {
 TEST(CheckpointResume, CheckpointedRunEmitsSnapshotsAndMatches) {
     const auto ops = zipf_ops();
     FlowCache plain(512, 0x31);
-    const auto ref = replay_sequential(plain, Ops(ops));
+    const auto ref = testutil::reference_replay(plain, ops);
 
+    // Single-owner run cutting every 10'000 ops: 1'000-op blocks, a
+    // checkpoint every 10 of them.
     FlowCache cache(512, 0x31);
-    std::vector<ReplayCheckpoint> cps;
-    const auto stats = replay_sequential_checkpointed(
-        cache, Ops(ops), /*every=*/10'000,
-        [&](ReplayCheckpoint&& cp) { cps.push_back(std::move(cp)); });
-    EXPECT_EQ(stats, ref);
+    CacheReplayTarget target(cache);
+    SpanOpSource source{Ops(ops)};
+    ShardedConfig cfg;
+    cfg.batch_ops = 1'000;
+    cfg.mode = Mode::kInline;
+    std::vector<Checkpoint> cps;
+    const auto rep = replay_target_checkpointed_stream(
+        target, source, cfg, /*every_batches=*/10,
+        [&](Checkpoint&& cp) { cps.push_back(std::move(cp)); });
+    ASSERT_TRUE(rep.is_ok()) << rep.status().to_string();
+    EXPECT_EQ(rep.value().stats, ref);
     ASSERT_EQ(cps.size(), (ops.size() - 1) / 10'000);
     // Every emitted checkpoint is a valid resume point.
     for (const auto& cp : cps) {
         FlowCache resumed(512, 0x31);
-        const auto r = resume_sequential(resumed, Ops(ops), cp);
+        const auto r =
+            testutil::resume_replay(CacheReplayTarget(resumed), ops, cp);
         ASSERT_TRUE(r.is_ok());
-        EXPECT_EQ(r.value(), ref) << "cursor " << cp.cursor;
+        EXPECT_EQ(r.value().stats, ref) << "cursor " << cp.cursor;
         expect_same_contents(plain, resumed);
     }
 }
@@ -120,10 +143,10 @@ TEST(CheckpointResume, CheckpointedRunEmitsSnapshotsAndMatches) {
 TEST(CheckpointResume, RejectsShapeMismatchWithTypedError) {
     const auto ops = zipf_ops();
     FlowCache small(256, 0x17);
-    const auto cp = take_checkpoint(small, 0, ReplayStats{});
+    const auto cp = snapshot(small, 0, ReplayStats{});
 
     FlowCache big(1024, 0x17);
-    const auto r = resume_sequential(big, Ops(ops), cp);
+    const auto r = testutil::resume_replay(CacheReplayTarget(big), ops, cp);
     ASSERT_FALSE(r.is_ok());
     EXPECT_EQ(r.status().code(), ErrorCode::kInvalidState);
 }
@@ -131,9 +154,9 @@ TEST(CheckpointResume, RejectsShapeMismatchWithTypedError) {
 TEST(CheckpointResume, RejectsCursorBeyondStream) {
     const auto ops = zipf_ops();
     FlowCache cache(256, 0x17);
-    auto cp = take_checkpoint(cache, 0, ReplayStats{});
+    auto cp = snapshot(cache, 0, ReplayStats{});
     cp.cursor = ops.size() + 1;
-    const auto r = resume_sequential(cache, Ops(ops), cp);
+    const auto r = testutil::resume_replay(CacheReplayTarget(cache), ops, cp);
     ASSERT_FALSE(r.is_ok());
     EXPECT_EQ(r.status().code(), ErrorCode::kInvalidState);
 }
@@ -146,15 +169,15 @@ TEST(CheckpointResume, RejectsForgedEqualSizeCrossLayoutImage) {
     // byte is looked at.
     const auto ops = zipf_ops();
     AosFlowCache aos(1024, 0x17);
-    auto cp = take_checkpoint(aos, 0, ReplayStats{});
+    auto cp = snapshot(aos, 0, ReplayStats{});
 
     FlowCache soa(1024, 0x17);
     soa.materialize();
     std::vector<std::byte> soa_planes;
     soa.storage().save_planes(soa_planes);
-    cp.planes.resize(soa_planes.size());  // defeat the size guard
+    cp.state.resize(soa_planes.size());  // defeat the size guard
 
-    const auto r = resume_sequential(soa, Ops(ops), cp);
+    const auto r = testutil::resume_replay(CacheReplayTarget(soa), ops, cp);
     ASSERT_FALSE(r.is_ok());
     EXPECT_EQ(r.status().code(), ErrorCode::kInvalidState);
     EXPECT_NE(r.status().message().find("layout"), std::string::npos)
@@ -167,10 +190,10 @@ TEST(CheckpointResume, RejectsCrossLayoutPlaneImage) {
     // the same geometry; load_planes must refuse rather than reinterpret.
     const auto ops = zipf_ops();
     AosFlowCache aos(1024, 0x17);
-    const auto cp = take_checkpoint(aos, 0, ReplayStats{});
+    const auto cp = snapshot(aos, 0, ReplayStats{});
 
     FlowCache soa(1024, 0x17);
-    const auto r = resume_sequential(soa, Ops(ops), cp);
+    const auto r = testutil::resume_replay(CacheReplayTarget(soa), ops, cp);
     ASSERT_FALSE(r.is_ok());
     EXPECT_EQ(r.status().code(), ErrorCode::kInvalidState);
 }

@@ -1,8 +1,9 @@
 // Fuzz campaign + protocol tests for the durable checkpoint store
 // (DESIGN.md §12, ISSUE 8 acceptance).
 //
-// Format hardening, over BOTH on-disk layouts (P4LRUCKP cache checkpoints
-// and P4LRUTGC target checkpoints):
+// Format hardening, over two images of the one on-disk format: a real
+// mid-run bare-cache checkpoint (CacheReplayTarget) and a hand-built target
+// checkpoint with every field non-trivial:
 //   * exhaustive truncation sweep — every strict byte prefix of a sealed
 //     image is rejected by the typed parser AND the format-agnostic
 //     verifier, never accepted, never a crash;
@@ -28,8 +29,6 @@
 #include <vector>
 
 #include "p4lru/core/p4lru.hpp"
-#include "p4lru/replay/checkpoint.hpp"
-#include "p4lru/replay/checkpoint_io.hpp"
 #include "p4lru/replay/replay.hpp"
 #include "p4lru/replay/target_checkpoint.hpp"
 #include "p4lru/trace/trace_gen.hpp"
@@ -50,23 +49,27 @@ using Ops = std::span<const ReplayOp<FlowKey, std::uint32_t>>;
 // byte-exhaustive sweeps stay fast) and one hand-built target checkpoint
 // with every field non-trivial.
 
-const SerializedCheckpoint& ckp_image() {
+const SerializedCheckpoint& cache_image() {
     static const SerializedCheckpoint img = [] {
         trace::TraceConfig tcfg;
         tcfg.seed = 77;
         tcfg.total_packets = 4'000;
         const auto ops = ops_from_packets(trace::generate_trace(tcfg));
         FlowCache cache(16, 0x5C);
+        CacheReplayTarget target(cache);
+        SpanOpSource source{Ops(ops)};
         ShardedConfig cfg;
         cfg.shards = 3;
         cfg.batch_ops = 64;
         cfg.mode = Mode::kThreaded;
-        std::vector<ShardedCheckpoint> cps;
-        (void)replay_sharded_checkpointed(
-            cache, Ops(ops), cfg, /*every_batches=*/8,
-            [&](ShardedCheckpoint&& cp) { cps.push_back(std::move(cp)); });
+        std::vector<TargetCheckpoint<ReplayStats>> cps;
+        (void)replay_target_checkpointed_stream(
+            target, source, cfg, /*every_batches=*/8,
+            [&](TargetCheckpoint<ReplayStats>&& cp) {
+                cps.push_back(std::move(cp));
+            });
         EXPECT_FALSE(cps.empty());
-        return serialize_checkpoint(cps.front());
+        return serialize_target_checkpoint(cps.front());
     }();
     return img;
 }
@@ -100,43 +103,34 @@ const SerializedCheckpoint& tgc_image() {
     return img;
 }
 
-/// Parse outcome of either typed reader on raw bytes.
-enum class Format { kCkp, kTgc };
-
-Status typed_parse(Format f, const std::vector<std::byte>& bytes) {
-    if (f == Format::kCkp) {
-        const auto r = parse_checkpoint(bytes, "fuzz");
-        return r.is_ok() ? Status::ok() : r.status();
-    }
-    const auto r = parse_target_checkpoint<ReplayStats>(bytes, "fuzz");
-    return r.is_ok() ? Status::ok() : r.status();
+/// Parse outcome of the typed reader on raw bytes.
+Status typed_parse(const std::vector<std::byte>& bytes) {
+    return parse_target_checkpoint<ReplayStats>(bytes, "fuzz").status();
 }
 
-struct FormatCase {
-    Format format;
+struct ImageCase {
     const SerializedCheckpoint* image;
     const char* name;
 };
 
-std::vector<FormatCase> format_cases() {
-    return {{Format::kCkp, &ckp_image(), "P4LRUCKP"},
-            {Format::kTgc, &tgc_image(), "P4LRUTGC"}};
+std::vector<ImageCase> image_cases() {
+    return {{&cache_image(), "cache target"}, {&tgc_image(), "hand-built"}};
 }
 
 // ---------------------------------------------------------------------------
 // Fuzz campaign, leg 1: every strict prefix is rejected.
 
 TEST(DurableFuzz, EveryTruncationPrefixRejectedBothFormats) {
-    for (const auto& fc : format_cases()) {
+    for (const auto& fc : image_cases()) {
         const auto& img = *fc.image;
         ASSERT_GE(img.bytes.size(), 100u) << fc.name;
         // Full image parses and verifies; every strict prefix must not.
-        ASSERT_TRUE(typed_parse(fc.format, img.bytes).is_ok()) << fc.name;
+        ASSERT_TRUE(typed_parse(img.bytes).is_ok()) << fc.name;
         ASSERT_TRUE(verify_checkpoint_image(img.bytes, fc.name).is_ok());
         for (std::size_t cut = 0; cut < img.bytes.size(); ++cut) {
             const std::vector<std::byte> prefix(img.bytes.begin(),
                                                 img.bytes.begin() + cut);
-            const Status st = typed_parse(fc.format, prefix);
+            const Status st = typed_parse(prefix);
             ASSERT_FALSE(st.is_ok())
                 << fc.name << ": prefix of " << cut << " bytes parsed";
             ASSERT_TRUE(st.code() == ErrorCode::kCorrupt ||
@@ -157,7 +151,7 @@ TEST(DurableFuzz, EveryTruncationPrefixRejectedBothFormats) {
 
 TEST(DurableFuzz, SingleBitFlipInEverySectionRejectedBothFormats) {
     std::mt19937_64 rng(0xF1A9u);
-    for (const auto& fc : format_cases()) {
+    for (const auto& fc : image_cases()) {
         const auto& img = *fc.image;
         ASSERT_EQ(img.section_ends.size(), 4u) << fc.name;
         std::uint64_t begin = 0;
@@ -182,7 +176,7 @@ TEST(DurableFuzz, SingleBitFlipInEverySectionRejectedBothFormats) {
             for (const auto& [pos, bit] : flips) {
                 std::vector<std::byte> dam = img.bytes;
                 dam[pos] ^= static_cast<std::byte>(1u << bit);
-                const Status st = typed_parse(fc.format, dam);
+                const Status st = typed_parse(dam);
                 ASSERT_FALSE(st.is_ok())
                     << fc.name << ": flip of bit " << bit << " at byte "
                     << pos << " (section " << sec << ") accepted";
@@ -413,10 +407,10 @@ TEST(DurableStoreTest, IoFailuresCarryPathAndErrno) {
 TEST(DurableStoreTest, DescribeReportsBothFormatsAndLegacyFiles) {
     {
         const auto info =
-            describe_checkpoint_image(ckp_image().bytes, "ckp");
+            describe_checkpoint_image(cache_image().bytes, "cache");
         ASSERT_TRUE(info.is_ok()) << info.status().to_string();
-        EXPECT_EQ(info.value().format, "P4LRUCKP");
-        EXPECT_TRUE(info.value().sealed);
+        EXPECT_EQ(info.value().header.shard_count, 3u);
+        EXPECT_TRUE(info.value().header.sealed());
         EXPECT_TRUE(info.value().verdict.is_ok());
         ASSERT_EQ(info.value().sections.size(), 4u);
         for (const auto& s : info.value().sections) EXPECT_TRUE(s.ok);
@@ -425,11 +419,22 @@ TEST(DurableStoreTest, DescribeReportsBothFormatsAndLegacyFiles) {
         const auto info =
             describe_checkpoint_image(tgc_image().bytes, "tgc");
         ASSERT_TRUE(info.is_ok()) << info.status().to_string();
-        EXPECT_EQ(info.value().format, "P4LRUTGC");
-        EXPECT_TRUE(info.value().sealed);
-        EXPECT_EQ(info.value().cursor, sample_tgc().cursor);
-        EXPECT_EQ(info.value().shard_count, 2u);
+        EXPECT_TRUE(info.value().header.sealed());
+        EXPECT_EQ(info.value().header.cursor, sample_tgc().cursor);
+        EXPECT_EQ(info.value().header.shard_count, 2u);
         EXPECT_TRUE(info.value().verdict.is_ok());
+    }
+    {
+        // A retired cache-only image (magic "P4LRUCKP") is an unknown
+        // format now: a typed kCorrupt at offset 0, never a misparse.
+        std::vector<std::byte> retired = cache_image().bytes;
+        retired[5] = std::byte{'C'};
+        retired[6] = std::byte{'K'};
+        retired[7] = std::byte{'P'};
+        const auto info = describe_checkpoint_image(retired, "retired");
+        ASSERT_FALSE(info.is_ok());
+        EXPECT_EQ(info.status().code(), ErrorCode::kCorrupt);
+        EXPECT_EQ(info.status().offset(), 0u);
     }
     {
         // A v1 file: same image without the seal, version patched to 1.
@@ -438,8 +443,8 @@ TEST(DurableStoreTest, DescribeReportsBothFormatsAndLegacyFiles) {
         legacy[8] = std::byte{1};
         const auto info = describe_checkpoint_image(legacy, "legacy");
         ASSERT_TRUE(info.is_ok()) << info.status().to_string();
-        EXPECT_EQ(info.value().version, 1u);
-        EXPECT_FALSE(info.value().sealed);
+        EXPECT_EQ(info.value().header.version, 1u);
+        EXPECT_FALSE(info.value().header.sealed());
         EXPECT_TRUE(info.value().sections.empty());
         EXPECT_TRUE(info.value().verdict.is_ok());
         // ...and the typed reader still accepts it.

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "p4lru/core/p4lru.hpp"
@@ -13,6 +12,7 @@
 #include "p4lru/fault/fault_plan.hpp"
 #include "p4lru/replay/replay.hpp"
 #include "p4lru/trace/trace_gen.hpp"
+#include "../test_util.hpp"
 
 namespace p4lru::core {
 namespace {
@@ -148,9 +148,8 @@ TEST(Scrubber, ReplayRepairsInjectedCorruptionWithoutAborting) {
     replay::ShardedConfig cfg;
     cfg.mode = replay::Mode::kInline;  // data faults need a single owner
     cfg.robust.scrub_every = 1'024;
-    const auto rep = replay_sharded(
-        cache, std::span<const replay::ReplayOp<FlowKey, std::uint32_t>>(ops),
-        cfg, faults);
+    const auto rep = testutil::sharded_replay(
+        replay::CacheReplayTarget(cache), ops, cfg, faults);
 
     EXPECT_EQ(rep.stats.ops, ops.size()) << "no abort: every op processed";
     EXPECT_EQ(rep.scrub.corrupt, 3u) << "all injected corruptions found";
@@ -163,22 +162,26 @@ TEST(Scrubber, ReplayRepairsInjectedCorruptionWithoutAborting) {
 TEST(Scrubber, ScrubbedSequentialReplayIsBitIdenticalWhenClean) {
     const auto ops = zipf_ops();
     FlowCache plain(512, 0x99);
-    const auto ref = replay_sequential(
-        plain, std::span<const replay::ReplayOp<FlowKey, std::uint32_t>>(ops));
+    const auto ref = testutil::reference_replay(plain, ops);
 
+    // Single-owner replay with the scrubber on: the engine inline on one
+    // shard, which scrubs the whole array on the cadence.
     FlowCache scrubbed(512, 0x99);
-    const auto r = replay::replay_sequential_scrubbed(
-        scrubbed,
-        std::span<const replay::ReplayOp<FlowKey, std::uint32_t>>(ops),
-        /*scrub_every=*/4'096);
+    replay::ShardedConfig cfg;
+    cfg.shards = 1;
+    cfg.mode = replay::Mode::kInline;
+    cfg.robust.scrub_every = 4'096;
+    const auto r =
+        testutil::sharded_replay(replay::CacheReplayTarget(scrubbed), ops, cfg);
     EXPECT_EQ(r.stats, ref) << "scrubbing a healthy cache changes nothing";
     EXPECT_GT(r.scrub.scanned, 0u);
     EXPECT_EQ(r.scrub.corrupt, 0u);
 }
 
 /// Scrub-cadence equivalence (ISSUE 4 satellite): the inline sharded path
-/// must fire its scrub on exactly the same op counts as the sequential
-/// path, for scrub cadences below, at, and above the dispatch block size.
+/// must fire its scrub on exactly the same op counts as the per-op
+/// reference, for scrub cadences below, at, and above the dispatch block
+/// size.
 /// The old code scrubbed at most once per block and discarded the
 /// overshoot, so with scrub_every < batch_ops it under-scrubbed by up to
 /// batch_ops/scrub_every times; the remainder carry fixes that, and equal
@@ -186,23 +189,24 @@ TEST(Scrubber, ScrubbedSequentialReplayIsBitIdenticalWhenClean) {
 /// unit array on both paths).
 TEST(Scrubber, InlineShardedScrubCadenceMatchesSequential) {
     const auto ops = zipf_ops();
-    using Ops = std::span<const replay::ReplayOp<FlowKey, std::uint32_t>>;
     const std::uint64_t cadences[] = {64, 100, 256, 1'000, 4'096};
     for (const std::uint64_t scrub_every : cadences) {
         FlowCache seq(512, 0x77);
-        const auto a =
-            replay::replay_sequential_scrubbed(seq, Ops(ops), scrub_every);
+        ScrubReport a_scrub;
+        const auto a_stats =
+            testutil::reference_replay(seq, ops, scrub_every, &a_scrub);
 
         FlowCache inl(512, 0x77);
         replay::ShardedConfig cfg;
         cfg.mode = replay::Mode::kInline;
         cfg.batch_ops = 256;  // cadences above span both < and > this
         cfg.robust.scrub_every = scrub_every;
-        const auto rep = replay_sharded(inl, Ops(ops), cfg);
+        const auto rep =
+            testutil::sharded_replay(replay::CacheReplayTarget(inl), ops, cfg);
 
-        EXPECT_EQ(rep.scrub.scanned, a.scrub.scanned)
+        EXPECT_EQ(rep.scrub.scanned, a_scrub.scanned)
             << "scrub_every=" << scrub_every;
-        EXPECT_EQ(rep.stats, a.stats) << "scrub_every=" << scrub_every;
+        EXPECT_EQ(rep.stats, a_stats) << "scrub_every=" << scrub_every;
         EXPECT_EQ(rep.scrub.corrupt, 0u);
     }
 }

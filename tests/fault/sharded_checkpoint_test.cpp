@@ -1,12 +1,12 @@
 // Sharded checkpoint/resume property test (ISSUE 4 acceptance): for random
 // (shard count, batch size, checkpoint cadence, kill point) over Zipf and
-// YCSB traces, resuming from a disk-round-tripped ShardedCheckpoint must
-// land on statistics and final plane bytes bit-identical to an
-// uninterrupted replay_sequential — on both storage layouts, with the
+// YCSB traces, resuming from a disk-round-tripped checkpoint must land on
+// statistics and final plane bytes bit-identical to an uninterrupted per-op
+// reference replay — on both storage layouts, with the
 // resume free to pick a different shard count / batch size than the
 // interrupted run, and including runs whose workers were parked by faults
 // or abandoned by the watchdog mid-checkpoint.
-#include "p4lru/replay/checkpoint_io.hpp"
+#include "p4lru/replay/target_checkpoint.hpp"
 
 #include <gtest/gtest.h>
 
@@ -19,13 +19,14 @@
 
 #include "p4lru/core/p4lru.hpp"
 #include "p4lru/fault/fault_plan.hpp"
-#include "p4lru/replay/checkpoint.hpp"
 #include "p4lru/trace/trace_gen.hpp"
 #include "p4lru/trace/ycsb.hpp"
 #include "../test_util.hpp"
 
 namespace p4lru::replay {
 namespace {
+
+using Checkpoint = TargetCheckpoint<ReplayStats>;
 
 using FlowCache =
     core::ParallelCache<core::P4lru<FlowKey, std::uint32_t, 3>, FlowKey,
@@ -73,6 +74,23 @@ std::vector<ReplayOp<std::uint64_t, std::uint64_t>> ycsb_ops() {
     return ops;
 }
 
+/// Checkpointed engine run of `ops` over `cache`, collecting every emitted
+/// checkpoint into `cps`.
+template <typename Cache, typename Op, typename Faults = fault::NoFaults>
+ShardedReport checkpointed(Cache& cache, const std::vector<Op>& ops,
+                           const ShardedConfig& cfg,
+                           std::uint64_t every_batches,
+                           std::vector<Checkpoint>& cps,
+                           const Faults& faults = {}) {
+    CacheReplayTarget target(cache);
+    SpanOpSource source{std::span<const Op>(ops)};
+    return replay_target_checkpointed_stream(
+               target, source, cfg, every_batches,
+               [&](Checkpoint&& cp) { cps.push_back(std::move(cp)); },
+               faults)
+        .value();
+}
+
 /// One randomized trial: sharded replay with checkpoint emission at a
 /// random cadence, kill at a random emitted checkpoint, round-trip it
 /// through disk, resume on a fresh cache with freshly-randomized replay
@@ -84,8 +102,6 @@ void run_trial(const Cache& ref, const ReplayStats& seq,
                const std::vector<ReplayOp<Key, Value>>& ops,
                std::size_t units, std::uint32_t cache_seed,
                std::mt19937_64& rng, bool chaos) {
-    using Ops = std::span<const ReplayOp<Key, Value>>;
-
     ShardedConfig cfg;
     cfg.shards = 2 + static_cast<std::size_t>(rng() % 5);
     cfg.batch_ops = std::size_t{32} << (rng() % 3);
@@ -106,12 +122,9 @@ void run_trial(const Cache& ref, const ReplayStats& seq,
     }
     const fault::InjectedFaults faults(plan);
 
-    std::vector<ShardedCheckpoint> cps;
+    std::vector<Checkpoint> cps;
     Cache first(units, cache_seed);
-    const auto rep = replay_sharded_checkpointed(
-        first, Ops(ops), cfg, cadence,
-        [&](ShardedCheckpoint&& cp) { cps.push_back(std::move(cp)); },
-        faults);
+    const auto rep = checkpointed(first, ops, cfg, cadence, cps, faults);
     ASSERT_EQ(rep.stats, seq) << "checkpointed run diverged";
     expect_same_contents(ref, first);
     ASSERT_FALSE(cps.empty()) << "no checkpoint emitted";
@@ -121,12 +134,12 @@ void run_trial(const Cache& ref, const ReplayStats& seq,
 
     // Kill point: any emitted checkpoint, through the on-disk format.
     const auto& cp = cps[rng() % cps.size()];
-    EXPECT_EQ(cp.base.stats.ops, cp.base.cursor)
+    EXPECT_EQ(cp.stats.ops, cp.cursor)
         << "cut statistics must cover exactly the op prefix";
     testutil::ScopedTempDir tmp{"p4lru_prop_ckpt"};
     const std::string path = tmp.file("cut.ckpt");
-    ASSERT_TRUE(write_checkpoint(path, cp).is_ok());
-    auto rd = read_checkpoint_checked(path);
+    ASSERT_TRUE(write_target_checkpoint(path, cp).is_ok());
+    auto rd = read_target_checkpoint_checked<ReplayStats>(path);
     ASSERT_TRUE(rd.is_ok()) << rd.status().to_string();
 
     ShardedConfig rcfg;
@@ -134,7 +147,8 @@ void run_trial(const Cache& ref, const ReplayStats& seq,
     rcfg.batch_ops = std::size_t{32} << (rng() % 3);
     rcfg.mode = Mode::kThreaded;
     Cache resumed(units, cache_seed);
-    const auto res = resume_sharded(resumed, Ops(ops), rd.value(), rcfg);
+    const auto res = testutil::resume_replay(
+        CacheReplayTarget(resumed), ops, rd.value(), rcfg);
     ASSERT_TRUE(res.is_ok()) << res.status().to_string();
     EXPECT_EQ(res.value().stats, seq) << "resumed run diverged";
     // Degradation telemetry carried through the kill: the resumed report
@@ -156,9 +170,8 @@ template <typename Cache, typename Key, typename Value>
 void run_property(const std::vector<ReplayOp<Key, Value>>& ops,
                   std::size_t units, std::uint32_t cache_seed,
                   std::uint64_t rng_seed, int trials, bool chaos) {
-    using Ops = std::span<const ReplayOp<Key, Value>>;
     Cache ref(units, cache_seed);
-    const auto seq = replay_sequential(ref, Ops(ops));
+    const auto seq = testutil::reference_replay(ref, ops);
     std::mt19937_64 rng(rng_seed);
     for (int t = 0; t < trials; ++t) {
         SCOPED_TRACE("trial " + std::to_string(t));
@@ -189,30 +202,27 @@ TEST(ShardedCheckpoint, SurvivesParkedAndAbandonedWorkersYcsb) {
 
 TEST(ShardedCheckpoint, InlineModeEmitsPerBlockCheckpoints) {
     const auto ops = zipf_ops();
-    using Ops = std::span<const ReplayOp<FlowKey, std::uint32_t>>;
     FlowCache ref(1024, 0x55);
-    const auto seq = replay_sequential(ref, Ops(ops));
+    const auto seq = testutil::reference_replay(ref, ops);
 
     ShardedConfig cfg;
     cfg.shards = 4;
     cfg.batch_ops = 256;
     cfg.mode = Mode::kInline;
-    std::vector<ShardedCheckpoint> cps;
+    std::vector<Checkpoint> cps;
     FlowCache cache(1024, 0x55);
-    const auto rep = replay_sharded_checkpointed(
-        cache, Ops(ops), cfg, /*every_batches=*/16,
-        [&](ShardedCheckpoint&& cp) { cps.push_back(std::move(cp)); });
+    const auto rep = checkpointed(cache, ops, cfg, /*every_batches=*/16, cps);
     EXPECT_EQ(rep.stats, seq);
     ASSERT_FALSE(cps.empty());
     for (const auto& cp : cps) {
-        EXPECT_EQ(cp.base.stats.ops, cp.base.cursor);
+        EXPECT_EQ(cp.stats.ops, cp.cursor);
         ASSERT_EQ(cp.shard_stats.size(), 1u);
-        EXPECT_EQ(cp.shard_stats[0], cp.base.stats);
+        EXPECT_EQ(cp.shard_stats[0], cp.stats);
     }
 
     FlowCache resumed(1024, 0x55);
-    const auto res =
-        resume_sharded(resumed, Ops(ops), cps[cps.size() / 2], cfg);
+    const auto res = testutil::resume_replay(
+        CacheReplayTarget(resumed), ops, cps[cps.size() / 2], cfg);
     ASSERT_TRUE(res.is_ok()) << res.status().to_string();
     EXPECT_EQ(res.value().stats, seq);
     expect_same_contents(ref, resumed);
@@ -223,9 +233,8 @@ TEST(ShardedCheckpoint, InlineModeEmitsPerBlockCheckpoints) {
 /// accounts the dispatcher-drained ops to the dead worker's shard.
 TEST(ShardedCheckpoint, CheckpointAfterInlineDrainStaysConsistent) {
     const auto ops = zipf_ops();
-    using Ops = std::span<const ReplayOp<FlowKey, std::uint32_t>>;
     FlowCache ref(1024, 0x66);
-    const auto seq = replay_sequential(ref, Ops(ops));
+    const auto seq = testutil::reference_replay(ref, ops);
 
     ShardedConfig cfg;
     cfg.shards = 4;
@@ -239,12 +248,10 @@ TEST(ShardedCheckpoint, CheckpointAfterInlineDrainStaysConsistent) {
     plan.stall_worker(/*shard=*/1, /*at_batch=*/0);
     const fault::InjectedFaults faults(plan);
 
-    std::vector<ShardedCheckpoint> cps;
+    std::vector<Checkpoint> cps;
     FlowCache cache(1024, 0x66);
-    const auto rep = replay_sharded_checkpointed(
-        cache, Ops(ops), cfg, /*every_batches=*/32,
-        [&](ShardedCheckpoint&& cp) { cps.push_back(std::move(cp)); },
-        faults);
+    const auto rep =
+        checkpointed(cache, ops, cfg, /*every_batches=*/32, cps, faults);
     EXPECT_GE(rep.drained_inline, 1u);
     EXPECT_EQ(rep.stats, seq);
     ASSERT_FALSE(cps.empty());
@@ -252,12 +259,13 @@ TEST(ShardedCheckpoint, CheckpointAfterInlineDrainStaysConsistent) {
     for (const auto& cp : cps) {
         ReplayStats sum;
         for (const auto& s : cp.shard_stats) sum.merge(s);
-        EXPECT_EQ(sum, cp.base.stats);
-        EXPECT_EQ(cp.base.stats.ops, cp.base.cursor);
+        EXPECT_EQ(sum, cp.stats);
+        EXPECT_EQ(cp.stats.ops, cp.cursor);
     }
 
     FlowCache resumed(1024, 0x66);
-    const auto res = resume_sharded(resumed, Ops(ops), cps.back(), cfg);
+    const auto res = testutil::resume_replay(
+        CacheReplayTarget(resumed), ops, cps.back(), cfg);
     ASSERT_TRUE(res.is_ok()) << res.status().to_string();
     EXPECT_EQ(res.value().stats, seq);
     expect_same_contents(ref, resumed);
@@ -271,9 +279,8 @@ TEST(ShardedCheckpoint, CheckpointAfterInlineDrainStaysConsistent) {
 /// restarting it from zero.
 TEST(ShardedCheckpoint, TelemetryCarriedAcrossKillAndResume) {
     const auto ops = zipf_ops();
-    using Ops = std::span<const ReplayOp<FlowKey, std::uint32_t>>;
     FlowCache ref(1024, 0x77);
-    const auto seq = replay_sequential(ref, Ops(ops));
+    const auto seq = testutil::reference_replay(ref, ops);
 
     ShardedConfig cfg;
     cfg.shards = 4;
@@ -288,19 +295,17 @@ TEST(ShardedCheckpoint, TelemetryCarriedAcrossKillAndResume) {
     plan.delay_batch(/*shard=*/2, /*at_batch=*/2, /*micros=*/20'000);
     const fault::InjectedFaults faults(plan);
 
-    std::vector<ShardedCheckpoint> cps;
+    std::vector<Checkpoint> cps;
     FlowCache cache(1024, 0x77);
-    const auto rep = replay_sharded_checkpointed(
-        cache, Ops(ops), cfg, /*every_batches=*/32,
-        [&](ShardedCheckpoint&& cp) { cps.push_back(std::move(cp)); },
-        faults);
+    const auto rep =
+        checkpointed(cache, ops, cfg, /*every_batches=*/32, cps, faults);
     EXPECT_EQ(rep.stats, seq);
     EXPECT_TRUE(rep.degraded());
     ASSERT_FALSE(cps.empty());
 
     // Telemetry in checkpoints is cumulative, so the last one carries the
     // most; the plan above must have degraded the run well before it.
-    const ShardedCheckpoint& cp = cps.back();
+    const Checkpoint& cp = cps.back();
     ASSERT_GE(cp.abandoned_workers + cp.drained_inline, 1u)
         << "fault plan failed to degrade the run before the kill point";
 
@@ -311,7 +316,8 @@ TEST(ShardedCheckpoint, TelemetryCarriedAcrossKillAndResume) {
     rcfg.batch_ops = 128;
     rcfg.mode = Mode::kThreaded;
     FlowCache resumed(1024, 0x77);
-    const auto res = resume_sharded(resumed, Ops(ops), cp, rcfg);
+    const auto res =
+        testutil::resume_replay(CacheReplayTarget(resumed), ops, cp, rcfg);
     ASSERT_TRUE(res.is_ok()) << res.status().to_string();
     EXPECT_EQ(res.value().stats, seq);
     EXPECT_GE(res.value().backpressure_waits, cp.backpressure_waits);

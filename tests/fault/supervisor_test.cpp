@@ -87,8 +87,7 @@ void check_supervised(Make make, const std::vector<Op>& ops, Mode mode,
                       std::size_t expect_crashes) {
     using Target = decltype(make());
     auto ref = make();
-    const auto seq =
-        replay_target_sequential(ref, std::span<const Op>(ops));
+    const auto seq = testutil::sequential_replay(ref, ops);
     const auto ref_state = state_of(ref);
     ASSERT_FALSE(ref_state.empty());
 

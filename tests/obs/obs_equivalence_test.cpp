@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "p4lru/core/p4lru.hpp"
@@ -15,6 +14,7 @@
 #include "p4lru/systems/lruindex/db_server.hpp"
 #include "p4lru/systems/lruindex/lruindex_target.hpp"
 #include "p4lru/trace/trace_gen.hpp"
+#include "../test_util.hpp"
 
 namespace p4lru::replay {
 namespace {
@@ -22,7 +22,6 @@ namespace {
 using FlowCache =
     core::ParallelCache<core::P4lru<FlowKey, std::uint32_t, 3>, FlowKey,
                         std::uint32_t>;
-using Ops = std::span<const ReplayOp<FlowKey, std::uint32_t>>;
 
 std::vector<ReplayOp<FlowKey, std::uint32_t>> zipf_ops() {
     trace::TraceConfig cfg;
@@ -49,12 +48,14 @@ void check_obs_equivalence(Mode mode) {
     cfg.mode = mode;
 
     FlowCache off_cache(1024, 0x91);
-    const auto off = replay_sharded(off_cache, Ops(ops), cfg);
+    const auto off =
+        testutil::sharded_replay(CacheReplayTarget(off_cache), ops, cfg);
 
     obs::Registry reg;
     cfg.metrics = &reg;
     FlowCache on_cache(1024, 0x91);
-    const auto on = replay_sharded(on_cache, Ops(ops), cfg);
+    const auto on =
+        testutil::sharded_replay(CacheReplayTarget(on_cache), ops, cfg);
 
     // Obs-on is bit-identical to obs-off: statistics, report shape, and
     // the final plane bytes.
@@ -93,7 +94,8 @@ TEST(ObsReplayEquivalence, NullRegistryIsTheDefaultAndHarmless) {
     cfg.mode = Mode::kInline;
     ASSERT_EQ(cfg.metrics, nullptr) << "obs must be opt-in";
     FlowCache cache(1024, 0x91);
-    const auto rep = replay_sharded(cache, Ops(ops), cfg);
+    const auto rep =
+        testutil::sharded_replay(CacheReplayTarget(cache), ops, cfg);
     EXPECT_GT(rep.stats.ops, 0u);
 }
 
@@ -112,8 +114,7 @@ TEST(ObsReplayEquivalence, LruIndexTargetCountersMatchStatsExactly) {
     obs::Registry reg;
     LruIndexTarget target(server, tcfg);
     target.set_metrics(&reg);
-    const auto stats = replay::replay_target_sequential(
-        target, std::span<const LruIndexOp>(ops));
+    const auto stats = testutil::sequential_replay(target, ops);
 
     const obs::Snapshot snap = reg.snapshot();
     ASSERT_NE(snap.counter("lruindex_hits"), nullptr);
@@ -127,8 +128,7 @@ TEST(ObsReplayEquivalence, LruIndexTargetCountersMatchStatsExactly) {
     // Detaching stops the flow; the stats themselves are unaffected.
     target.set_metrics(nullptr);
     LruIndexTarget target2(server, tcfg);
-    const auto stats2 = replay::replay_target_sequential(
-        target2, std::span<const LruIndexOp>(ops));
+    const auto stats2 = testutil::sequential_replay(target2, ops);
     EXPECT_EQ(stats2, stats);
     EXPECT_EQ(*reg.snapshot().counter("lruindex_hits"), stats.hits)
         << "detached target kept counting";

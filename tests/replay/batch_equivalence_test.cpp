@@ -1,8 +1,8 @@
 // Property suite for the batched update path: update_batch (and everything
-// layered on it — replay_sequential_batched, the checkpointed sequential
-// replay, the policy fill_batch/access_batch entry points, and the sharded
-// engine's routed batches) must emit a bit-identical UpdateResult stream to
-// per-op update on the same input.  Batching hoists only hashing and
+// layered on it — the policy fill_batch/access_batch entry points, and the
+// engine's routed batches, inline and threaded, with checkpoints cut
+// mid-stream) must emit a bit-identical UpdateResult stream to per-op
+// update on the same input.  Batching hoists only hashing and
 // prefetching; per-op application order is untouched, so this is checkable
 // result-for-result, on both storage layouts, under Zipf and YCSB traffic,
 // with checkpoints cut mid-stream.
@@ -14,10 +14,11 @@
 
 #include "p4lru/cache/policy.hpp"
 #include "p4lru/core/p4lru.hpp"
-#include "p4lru/replay/checkpoint.hpp"
 #include "p4lru/replay/replay.hpp"
+#include "p4lru/replay/target_checkpoint.hpp"
 #include "p4lru/trace/trace_gen.hpp"
 #include "p4lru/trace/ycsb.hpp"
+#include "../test_util.hpp"
 
 namespace p4lru::replay {
 namespace {
@@ -142,46 +143,63 @@ TEST(BatchEquivalence, YcsbResultStreamIsBitIdenticalAos) {
                                                                   0xF1);
 }
 
+/// Single-owner batched replay — the engine inline on one shard, hashing
+/// hoisted per block with each unit prefetched ahead of its update — must
+/// match the per-op reference.
 TEST(BatchEquivalence, SequentialBatchedMatchesSequential) {
     const auto ops = zipf_ops();
-    const std::span<const ReplayOp<FlowKey, std::uint32_t>> span(ops);
     FlowCache a(4096, 0xE1);
     FlowCache b(4096, 0xE1);
-    EXPECT_EQ(replay_sequential_batched(b, span), replay_sequential(a, span));
+    ShardedConfig cfg;
+    cfg.shards = 1;
+    cfg.mode = Mode::kInline;
+    EXPECT_EQ(
+        testutil::sharded_replay(CacheReplayTarget(b), ops, cfg).stats,
+        testutil::reference_replay(a, ops));
     expect_same_contents(a, b);
 }
 
-/// Checkpoints cut mid-batch-stream: the batched checkpointed replay must
-/// emit snapshots at exactly the per-op cursors, with bit-identical stats
-/// and plane images, including cadences that do not divide the batch size.
+/// Checkpoints cut mid-batch-stream: the inline engine cutting every block
+/// of `every` ops must emit snapshots at exactly the per-op cursors, with
+/// bit-identical stats and plane images, for cadences that do and do not
+/// divide the trace length.
 TEST(BatchEquivalence, CheckpointsMidStreamAreBitIdentical) {
     const auto ops = zipf_ops();
     const std::span<const ReplayOp<FlowKey, std::uint32_t>> span(ops);
     for (const std::uint64_t every : {777u, 10'000u, 256u}) {
-        // Per-op reference: manual loop with take_checkpoint on cadence.
+        // Per-op reference: manual loop, snapshotting the planes on cadence.
         FlowCache ref_cache(1024, 0xCC);
-        std::vector<ReplayCheckpoint> ref;
-        ReplayStats ref_stats;
-        std::uint64_t cursor = 0;
+        const CacheReplayTarget ref_target(ref_cache);
+        std::vector<TargetCheckpoint<ReplayStats>> ref;
+        CheckpointCut cut;
         for (const auto& op : ops) {
-            ref_stats.tally(ref_cache.update(op.key, op.value));
-            ++cursor;
-            if (cursor % every == 0 && cursor < ops.size()) {
-                ref.push_back(take_checkpoint(ref_cache, cursor, ref_stats));
+            cut.stats.tally(ref_cache.update(op.key, op.value));
+            ++cut.cursor;
+            if (cut.cursor % every == 0 && cut.cursor < ops.size()) {
+                ref.push_back(take_target_checkpoint(ref_target, cut));
             }
         }
 
         FlowCache cache(1024, 0xCC);
-        std::vector<ReplayCheckpoint> got;
-        const auto stats = replay_sequential_checkpointed(
-            cache, span, every,
-            [&](ReplayCheckpoint&& cp) { got.push_back(std::move(cp)); });
-        EXPECT_EQ(stats, ref_stats) << "every=" << every;
+        CacheReplayTarget target(cache);
+        ShardedConfig cfg;
+        cfg.shards = 1;
+        cfg.batch_ops = every;
+        cfg.mode = Mode::kInline;
+        SpanOpSource source(span);
+        std::vector<TargetCheckpoint<ReplayStats>> got;
+        const auto rep = replay_target_checkpointed_stream(
+            target, source, cfg, /*every_batches=*/1,
+            [&](TargetCheckpoint<ReplayStats>&& cp) {
+                got.push_back(std::move(cp));
+            });
+        ASSERT_TRUE(rep.is_ok()) << rep.status().to_string();
+        EXPECT_EQ(rep.value().stats, cut.stats) << "every=" << every;
         ASSERT_EQ(got.size(), ref.size()) << "every=" << every;
         for (std::size_t i = 0; i < got.size(); ++i) {
             EXPECT_EQ(got[i].cursor, ref[i].cursor);
             EXPECT_EQ(got[i].stats, ref[i].stats);
-            EXPECT_EQ(got[i].planes, ref[i].planes) << "checkpoint " << i;
+            EXPECT_EQ(got[i].state, ref[i].state) << "checkpoint " << i;
         }
         expect_same_contents(ref_cache, cache);
 
@@ -189,9 +207,13 @@ TEST(BatchEquivalence, CheckpointsMidStreamAreBitIdentical) {
         // state (the resume suffix also runs batched).
         if (!got.empty()) {
             FlowCache resumed(1024, 0xCC);
-            const auto r = resume_sequential(resumed, span, got.back());
+            CacheReplayTarget resumed_target(resumed);
+            SpanOpSource suffix(span);
+            const auto r = resume_target_checkpointed_stream(
+                resumed_target, suffix, got.back(), cfg, /*every_batches=*/0,
+                [](auto&&) {});
             ASSERT_TRUE(r.is_ok());
-            EXPECT_EQ(r.value(), ref_stats);
+            EXPECT_EQ(r.value().stats, cut.stats);
             expect_same_contents(ref_cache, resumed);
         }
     }
@@ -241,16 +263,16 @@ TEST(BatchEquivalence, PolicyBatchesMatchPerOp) {
 /// and the report says how many workers actually pinned.
 TEST(BatchEquivalence, PinnedThreadedReplayMatchesSequential) {
     const auto ops = zipf_ops();
-    const std::span<const ReplayOp<FlowKey, std::uint32_t>> span(ops);
     FlowCache seq_cache(2048, 0xAB);
-    const auto seq = replay_sequential(seq_cache, span);
+    const auto seq = testutil::reference_replay(seq_cache, ops);
 
     FlowCache cache(2048, 0xAB);
     ShardedConfig cfg;
     cfg.shards = 4;
     cfg.mode = Mode::kThreaded;
     cfg.pin_workers = true;
-    const auto rep = replay_sharded(cache, span, cfg);
+    const auto rep =
+        testutil::sharded_replay(CacheReplayTarget(cache), ops, cfg);
     EXPECT_EQ(rep.stats, seq);
     expect_same_contents(seq_cache, cache);
 #if defined(__linux__)
@@ -264,7 +286,8 @@ TEST(BatchEquivalence, PinnedThreadedReplayMatchesSequential) {
     ShardedConfig off;
     off.shards = 4;
     off.mode = Mode::kThreaded;
-    const auto rep_off = replay_sharded(plain, span, off);
+    const auto rep_off =
+        testutil::sharded_replay(CacheReplayTarget(plain), ops, off);
     EXPECT_EQ(rep_off.pinned_workers, 0u);
     EXPECT_EQ(rep_off.stats, seq);
 }

@@ -44,11 +44,11 @@
 #include "p4lru/fault/fault_plan.hpp"
 #include "p4lru/obs/metrics.hpp"
 #include "p4lru/obs/sampler.hpp"
-#include "p4lru/replay/checkpoint.hpp"
 #include "p4lru/replay/durable_store.hpp"
 #include "p4lru/replay/op_source.hpp"
 #include "p4lru/replay/replay.hpp"
 #include "p4lru/replay/supervisor.hpp"
+#include "p4lru/replay/target_checkpoint.hpp"
 #include "p4lru/systems/lrumon/lrumon_target.hpp"
 #include "p4lru/trace/trace_gen.hpp"
 #include "p4lru/trace/trace_io.hpp"
@@ -70,7 +70,7 @@ int main() {
         std::span<const replay::ReplayOp<FlowKey, std::uint32_t>>(ops);
 
     Cache seq_cache(1024, 0x7A);
-    const auto seq = replay::replay_sequential(seq_cache, span);
+    const auto seq = testutil::reference_replay(seq_cache, span);
 
     replay::ShardedConfig cfg;
     cfg.shards = 8;
@@ -85,7 +85,8 @@ int main() {
         Cache cache = (round % 2 == 0)
                           ? Cache(1024, 0x7A)
                           : Cache(1024, 0x7A, core::defer_init);
-        const auto rep = replay::replay_sharded(cache, span, cfg);
+        const auto rep = testutil::sharded_replay(
+            replay::CacheReplayTarget(cache), span, cfg);
         if (!(rep.stats == seq) || !cache.materialized()) {
             std::fprintf(stderr,
                          "round %d: sharded stats diverge from sequential "
@@ -101,12 +102,16 @@ int main() {
     std::size_t snapshots = 0;
     for (int round = 0; round < 3; ++round) {
         Cache cache(1024, 0x7A);
-        std::vector<replay::ShardedCheckpoint> cps;
-        const auto rep = replay::replay_sharded_checkpointed(
-            cache, span, cfg, /*every_batches=*/64,
-            [&](replay::ShardedCheckpoint&& cp) {
-                cps.push_back(std::move(cp));
-            });
+        replay::CacheReplayTarget target(cache);
+        replay::SpanOpSource source(span);
+        std::vector<replay::TargetCheckpoint<replay::ReplayStats>> cps;
+        const auto rep =
+            replay::replay_target_checkpointed_stream(
+                target, source, cfg, /*every_batches=*/64,
+                [&](replay::TargetCheckpoint<replay::ReplayStats>&& cp) {
+                    cps.push_back(std::move(cp));
+                })
+                .value();
         snapshots += cps.size();
         if (!(rep.stats == seq) || cps.empty()) {
             std::fprintf(stderr,
@@ -144,12 +149,12 @@ int main() {
     };
     const auto pkt_span = std::span<const PacketRecord>(trace);
     LruMonTarget seq_target = make_target();
-    const auto seq_sys = replay::replay_target_sequential(seq_target, pkt_span);
+    const auto seq_sys = testutil::sequential_replay(seq_target, pkt_span);
     std::vector<std::byte> seq_image;
     seq_target.save_state(seq_image);
     for (int round = 0; round < 3; ++round) {
         LruMonTarget target = make_target();
-        const auto rep = replay::replay_target_sharded(target, pkt_span, cfg);
+        const auto rep = testutil::sharded_replay(target, pkt_span, cfg);
         std::vector<std::byte> image;
         target.save_state(image);
         if (!(rep.stats == seq_sys) || image != seq_image) {
@@ -246,7 +251,8 @@ int main() {
         replay::ShardedConfig ocfg = cfg;
         ocfg.metrics = &reg;
         Cache cache(1024, 0x7A);
-        const auto rep = replay::replay_sharded(cache, span, ocfg);
+        const auto rep = testutil::sharded_replay(
+            replay::CacheReplayTarget(cache), span, ocfg);
         if (!(rep.stats == seq)) {
             std::fprintf(
                 stderr,
@@ -283,7 +289,9 @@ int main() {
             }
             auto stream = replay::packet_op_source(*src.value());
             Cache cache(1024, 0x7A);
-            const auto rep = replay::replay_sharded_stream(cache, stream, cfg);
+            replay::CacheReplayTarget target(cache);
+            const auto rep =
+                replay::replay_target_sharded_stream(target, stream, cfg);
             if (!rep.is_ok() || !(rep.value().stats == seq)) {
                 std::fprintf(
                     stderr,

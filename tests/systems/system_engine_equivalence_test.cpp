@@ -128,8 +128,7 @@ void check_mode_equivalence(Make make, const std::vector<Op>& ops,
     auto seq_target = make();
     using Target = decltype(seq_target);
     using Stats = typename Target::Stats;
-    const Stats seq = replay::replay_target_sequential(
-        seq_target, std::span<const Op>(ops));
+    const Stats seq = testutil::sequential_replay(seq_target, ops);
     const std::vector<std::byte> seq_state = state_of(seq_target);
     ASSERT_FALSE(seq_state.empty());
 
@@ -141,8 +140,7 @@ void check_mode_equivalence(Make make, const std::vector<Op>& ops,
         cfg.queue_batches = 4 + rng() % 12;
         cfg.mode = trial % 2 == 0 ? Mode::kInline : Mode::kThreaded;
         auto t = make();
-        const auto rep =
-            replay::replay_target_sharded(t, std::span<const Op>(ops), cfg);
+        const auto rep = testutil::sharded_replay(t, ops, cfg);
         EXPECT_EQ(rep.stats, seq)
             << "diverged at shards=" << cfg.shards
             << " batch=" << cfg.batch_ops << " mode="
@@ -177,8 +175,7 @@ void check_kill_and_resume(Make make, const std::vector<Op>& ops,
     auto seq_target = make();
     using Target = decltype(seq_target);
     using Stats = typename Target::Stats;
-    const Stats seq = replay::replay_target_sequential(
-        seq_target, std::span<const Op>(ops));
+    const Stats seq = testutil::sequential_replay(seq_target, ops);
     const std::vector<std::byte> seq_state = state_of(seq_target);
 
     // Checkpointed run: capture cuts every 8 delivered batches.
@@ -191,9 +188,11 @@ void check_kill_and_resume(Make make, const std::vector<Op>& ops,
     run_cfg.shards = 3;
     run_cfg.batch_ops = 64;
     run_cfg.mode = Mode::kThreaded;
-    const auto full = replay::replay_target_checkpointed(
-        live, std::span<const Op>(ops), run_cfg, 8, sink);
-    EXPECT_EQ(full.stats, seq) << "checkpointed run diverged";
+    replay::SpanOpSource source{std::span<const Op>(ops)};
+    const auto full = replay::replay_target_checkpointed_stream(
+        live, source, run_cfg, 8, sink);
+    ASSERT_TRUE(full.is_ok()) << full.status().to_string();
+    EXPECT_EQ(full.value().stats, seq) << "checkpointed run diverged";
     ASSERT_FALSE(cps.empty());
     const auto& cp = cps[cps.size() / 2];
     ASSERT_GT(cp.cursor, 0u);
@@ -206,8 +205,7 @@ void check_kill_and_resume(Make make, const std::vector<Op>& ops,
     resume_cfg.batch_ops = 32;
     resume_cfg.mode = Mode::kInline;
     auto resumed = make();
-    const auto res = replay::resume_target_sharded(
-        resumed, std::span<const Op>(ops), cp, resume_cfg);
+    const auto res = testutil::resume_replay(resumed, ops, cp, resume_cfg);
     ASSERT_TRUE(res.is_ok()) << res.status().to_string();
     EXPECT_EQ(res.value().stats, seq) << "resumed run diverged";
     EXPECT_EQ(state_of(resumed), seq_state) << "resumed state diverged";
@@ -226,8 +224,8 @@ void check_kill_and_resume(Make make, const std::vector<Op>& ops,
     ASSERT_TRUE(rd.is_ok()) << rd.status().to_string();
     auto from_disk = make();
     resume_cfg.mode = Mode::kThreaded;
-    const auto res2 = replay::resume_target_sharded(
-        from_disk, std::span<const Op>(ops), rd.value(), resume_cfg);
+    const auto res2 =
+        testutil::resume_replay(from_disk, ops, rd.value(), resume_cfg);
     ASSERT_TRUE(res2.is_ok()) << res2.status().to_string();
     EXPECT_EQ(res2.value().stats, seq) << "disk-resumed run diverged";
     EXPECT_EQ(state_of(from_disk), seq_state)
@@ -263,8 +261,7 @@ void check_stall_equivalence(Make make, const std::vector<Op>& ops) {
     auto seq_target = make();
     using Target = decltype(seq_target);
     using Stats = typename Target::Stats;
-    const Stats seq = replay::replay_target_sequential(
-        seq_target, std::span<const Op>(ops));
+    const Stats seq = testutil::sequential_replay(seq_target, ops);
     const std::vector<std::byte> seq_state = state_of(seq_target);
 
     fault::FaultPlan plan;
@@ -275,8 +272,7 @@ void check_stall_equivalence(Make make, const std::vector<Op>& ops) {
     cfg.batch_ops = 32;
     cfg.mode = Mode::kThreaded;
     auto t = make();
-    const auto rep = replay::replay_target_sharded(
-        t, std::span<const Op>(ops), cfg, faults);
+    const auto rep = testutil::sharded_replay(t, ops, cfg, faults);
     EXPECT_EQ(rep.stats, seq) << "stalled run diverged";
     EXPECT_EQ(state_of(t), seq_state) << "stalled state diverged";
     // The stalled worker must actually have been worked around.
@@ -312,8 +308,7 @@ TEST(SystemEngineEquivalence, LruMonOpCorruptionIsGeometryInvariant) {
         cfg.shards = shards;
         cfg.batch_ops = 48;
         cfg.mode = Mode::kInline;
-        const auto rep = replay::replay_target_sharded(
-            t, std::span<const PacketRecord>(ops), cfg, faults);
+        const auto rep = testutil::sharded_replay(t, ops, cfg, faults);
         return std::pair{rep.stats, state_of(t)};
     };
     const auto [s1, st1] = run(1);
@@ -323,8 +318,7 @@ TEST(SystemEngineEquivalence, LruMonOpCorruptionIsGeometryInvariant) {
 
     // And the corruption was not a no-op: the fault-free run differs.
     auto clean = make_lrumon();
-    const auto clean_stats = replay::replay_target_sequential(
-        clean, std::span<const PacketRecord>(ops));
+    const auto clean_stats = testutil::sequential_replay(clean, ops);
     EXPECT_NE(state_of(clean), st1);
     (void)clean_stats;
 }
@@ -338,8 +332,7 @@ TEST(SystemEngineEquivalence, LruIndexFlakyServerIsModeInvariant) {
     const fault::FlakyService flaky(0xF1A6, 257, 2);
 
     auto seq_target = make_lruindex(&flaky);
-    const auto seq = replay::replay_target_sequential(
-        seq_target, std::span<const systems::lruindex::LruIndexOp>(ops));
+    const auto seq = testutil::sequential_replay(seq_target, ops);
     EXPECT_GT(seq.retries, 0u);
     EXPECT_EQ(seq.wrong_replies, 0u);
 
@@ -348,16 +341,14 @@ TEST(SystemEngineEquivalence, LruIndexFlakyServerIsModeInvariant) {
     cfg.batch_ops = 64;
     cfg.mode = Mode::kThreaded;
     auto t = make_lruindex(&flaky);
-    const auto rep = replay::replay_target_sharded(
-        t, std::span<const systems::lruindex::LruIndexOp>(ops), cfg);
+    const auto rep = testutil::sharded_replay(t, ops, cfg);
     EXPECT_EQ(rep.stats, seq);
     EXPECT_EQ(state_of(t), state_of(seq_target));
 
     // Exhausting max_attempts completes queries as failures.
     const fault::FlakyService stubborn(0xF1A6, 101, 64);
     auto f = make_lruindex(&stubborn);
-    const auto failed = replay::replay_target_sequential(
-        f, std::span<const systems::lruindex::LruIndexOp>(ops));
+    const auto failed = testutil::sequential_replay(f, ops);
     EXPECT_GT(failed.failed_queries, 0u);
 }
 
@@ -368,13 +359,11 @@ TEST(SystemEngineEquivalence, ReportsDeriveFromMergedStats) {
     const auto trace = zipf_trace(53, 20'000);
     auto a = make_lrumon();
     auto b = make_lrumon();
-    const auto sa = replay::replay_target_sequential(
-        a, std::span<const PacketRecord>(trace));
+    const auto sa = testutil::sequential_replay(a, trace);
     ShardedConfig cfg;
     cfg.shards = 3;
     cfg.mode = Mode::kThreaded;
-    const auto rb = replay::replay_target_sharded(
-        b, std::span<const PacketRecord>(trace), cfg);
+    const auto rb = testutil::sharded_replay(b, trace, cfg);
     ASSERT_EQ(sa, rb.stats);
     const auto ra = a.report(sa);
     const auto rbb = b.report(rb.stats);
@@ -446,8 +435,7 @@ void check_source_equivalence(Make make, const std::string& disk_tag) {
 
     // Oracle: in-memory sequential replay over the raw span.
     auto ref_target = make();
-    const auto ref = replay::replay_target_sequential(
-        ref_target, std::span<const PacketRecord>(trace));
+    const auto ref = testutil::sequential_replay(ref_target, trace);
     const std::vector<std::byte> ref_state = state_of(ref_target);
 
     ShardedConfig inline_cfg;
@@ -515,8 +503,7 @@ TEST(SystemEngineEquivalence, KillAndResumeMaySwitchTraceSources) {
     auto ref_target = make_lrumon();
     using Target = decltype(ref_target);
     using Stats = typename Target::Stats;
-    const Stats ref = replay::replay_target_sequential(
-        ref_target, std::span<const PacketRecord>(trace));
+    const Stats ref = testutil::sequential_replay(ref_target, trace);
     const std::vector<std::byte> ref_state = state_of(ref_target);
 
     // Checkpointed run over the background-reader source: cuts every 8
@@ -553,8 +540,9 @@ TEST(SystemEngineEquivalence, KillAndResumeMaySwitchTraceSources) {
         ASSERT_NE(src, nullptr);
         replay::PacketTraceOpSource resume_ops(*src);
         auto resumed = make_lrumon();
-        const auto res = replay::resume_target_sharded_stream(
-            resumed, resume_ops, cp, resume_cfg);
+        const auto res = replay::resume_target_checkpointed_stream(
+            resumed, resume_ops, cp, resume_cfg, /*every_batches=*/0,
+            [](auto&&) {});
         ASSERT_TRUE(res.is_ok())
             << source_label(kind) << ": " << res.status().to_string();
         EXPECT_EQ(res.value().stats, ref)

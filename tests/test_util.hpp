@@ -7,13 +7,19 @@
 #include <deque>
 #include <filesystem>
 #include <optional>
+#include <span>
 #include <string>
 #include <system_error>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "p4lru/common/random.hpp"
 #include "p4lru/common/types.hpp"
+#include "p4lru/core/unit_storage.hpp"
+#include "p4lru/fault/fault_plan.hpp"
+#include "p4lru/replay/replay.hpp"
+#include "p4lru/replay/target_checkpoint.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <unistd.h>
@@ -119,6 +125,65 @@ class NaiveLru {
     std::size_t capacity_;
     std::vector<std::pair<Key, Value>> entries_;
 };
+
+/// Bare-cache reference replay: `cache.update` one op at a time, in order,
+/// plus a whole-array scrub every `scrub_every` ops (0 = never) merged into
+/// `*scrub`.  It deliberately shares no code with the engine — no
+/// CacheReplayTarget, no routed batches — so the equivalence suites compare
+/// the engine against an independent loop rather than with itself.
+template <typename Cache, typename Ops>
+replay::ReplayStats reference_replay(Cache& cache, const Ops& ops,
+                                     std::uint64_t scrub_every = 0,
+                                     core::ScrubReport* scrub = nullptr) {
+    cache.materialize();
+    replay::ReplayStats stats;
+    std::uint64_t until_scrub = scrub_every;
+    for (const auto& op : ops) {
+        stats.tally(cache.update(op.key, op.value));
+        if (scrub_every != 0 && --until_scrub == 0) {
+            const core::ScrubReport r = cache.scrub_all();
+            if (scrub != nullptr) scrub->merge(r);
+            until_scrub = scrub_every;
+        }
+    }
+    return stats;
+}
+
+/// replay_target_sharded_stream over an in-memory op sequence (a
+/// SpanOpSource never fails, so the unwrap cannot throw).
+template <typename Target, typename Faults = fault::NoFaults>
+auto sharded_replay(Target&& target,
+                    std::span<const typename std::remove_cvref_t<Target>::Op>
+                        ops,
+                    const replay::ShardedConfig& cfg = {},
+                    const Faults& faults = {}) {
+    replay::SpanOpSource source(ops);
+    return replay::replay_target_sharded_stream(target, source, cfg, faults)
+        .value();
+}
+
+/// replay_target_sequential_stream over an in-memory op sequence.
+template <typename Target>
+auto sequential_replay(
+    Target&& target,
+    std::span<const typename std::remove_cvref_t<Target>::Op> ops) {
+    replay::SpanOpSource source(ops);
+    return replay::replay_target_sequential_stream(target, source).value();
+}
+
+/// resume_target_checkpointed_stream over an in-memory op sequence, with
+/// no further cuts: restore `cp` into `target`, replay the rest of `ops`.
+template <typename Target>
+auto resume_replay(
+    Target&& target,
+    std::span<const typename std::remove_cvref_t<Target>::Op> ops,
+    const replay::TargetCheckpoint<
+        typename std::remove_cvref_t<Target>::Stats>& cp,
+    const replay::ShardedConfig& cfg = {}) {
+    replay::SpanOpSource source(ops);
+    return replay::resume_target_checkpointed_stream(
+        target, source, cp, cfg, /*every_batches=*/0, [](auto&&) {});
+}
 
 /// Zipf-ish random key stream over a small universe — compact driver for
 /// equivalence tests.

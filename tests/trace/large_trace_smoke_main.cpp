@@ -27,9 +27,9 @@
 #endif
 
 #include "p4lru/core/p4lru.hpp"
-#include "p4lru/replay/checkpoint.hpp"
 #include "p4lru/replay/op_source.hpp"
 #include "p4lru/replay/replay.hpp"
+#include "p4lru/replay/target_checkpoint.hpp"
 #include "p4lru/trace/trace_gen.hpp"
 #include "p4lru/trace/trace_io.hpp"
 #include "p4lru/trace/trace_source.hpp"
@@ -150,13 +150,24 @@ int main() {
         return std::move(src);
     };
 
-    // Sequential streamed reference.
+    // Sequential streamed reference: cache.update per op, in stream order.
+    const auto stream_reference = [](Cache& cache, auto& stream)
+        -> Expected<replay::ReplayStats> {
+        replay::ReplayStats stats;
+        for (;;) {
+            auto pulled = stream.next_batch(replay::kSequentialPullOps);
+            if (!pulled.is_ok()) return pulled.status();
+            if (pulled.value().empty()) return stats;
+            for (const auto& op : pulled.value()) {
+                stats.tally(cache.update(op.key, op.value));
+            }
+        }
+    };
     auto seq_src = open_chunked();
     if (!seq_src.is_ok()) return 1;
     auto seq_stream = replay::packet_op_source(*seq_src.value());
     Cache seq_cache(1024, 0x7A);
-    const auto seq_run = replay::replay_sequential_stream(seq_cache,
-                                                          seq_stream);
+    const auto seq_run = stream_reference(seq_cache, seq_stream);
     if (!seq_run.is_ok()) {
         std::fprintf(stderr, "sequential stream: %s\n",
                      seq_run.status().to_string().c_str());
@@ -182,8 +193,9 @@ int main() {
     if (!thr_src.is_ok()) return 1;
     auto thr_stream = replay::packet_op_source(*thr_src.value());
     Cache thr_cache(1024, 0x7A);
+    replay::CacheReplayTarget thr_target(thr_cache);
     const auto thr_run =
-        replay::replay_sharded_stream(thr_cache, thr_stream, cfg);
+        replay::replay_target_sharded_stream(thr_target, thr_stream, cfg);
     if (!thr_run.is_ok() || !(thr_run.value().stats == seq)) {
         std::fprintf(stderr, "threaded stream %s (ops %llu/%llu)\n",
                      thr_run.is_ok() ? "diverged from sequential"
@@ -208,14 +220,16 @@ int main() {
     if (!ck_src.is_ok()) return 1;
     auto ck_stream = replay::packet_op_source(*ck_src.value());
     Cache ck_cache(1024, 0x7A);
-    std::vector<replay::ShardedCheckpoint> cps;
+    replay::CacheReplayTarget ck_target(ck_cache);
+    using Checkpoint = replay::TargetCheckpoint<replay::ReplayStats>;
+    std::vector<Checkpoint> cps;
     // Cadence scaled so ~8 cuts land whatever the trace size; a fixed
     // cadence emits none at all on small smoke runs.
     const std::uint64_t every_batches =
         std::max<std::uint64_t>(1, records / (cfg.batch_ops * 8));
-    const auto ck_run = replay::replay_sharded_checkpointed_stream(
-        ck_cache, ck_stream, cfg, every_batches,
-        [&](replay::ShardedCheckpoint&& cp) { cps.push_back(std::move(cp)); });
+    const auto ck_run = replay::replay_target_checkpointed_stream(
+        ck_target, ck_stream, cfg, every_batches,
+        [&](Checkpoint&& cp) { cps.push_back(std::move(cp)); });
     if (!ck_run.is_ok() || !(ck_run.value().stats == seq) || cps.empty()) {
         std::fprintf(stderr, "checkpointed stream %s (%zu checkpoints)\n",
                      ck_run.is_ok() ? "diverged from sequential"
@@ -228,12 +242,13 @@ int main() {
     if (!res_src.is_ok()) return 1;
     auto res_stream = replay::packet_op_source(*res_src.value());
     Cache res_cache(1024, 0x7A);
-    const auto res =
-        replay::resume_sharded_stream(res_cache, res_stream, cp, cfg);
+    replay::CacheReplayTarget res_target(res_cache);
+    const auto res = replay::resume_target_checkpointed_stream(
+        res_target, res_stream, cp, cfg, /*every_batches=*/0, [](auto&&) {});
     if (!res.is_ok() || !(res.value().stats == seq)) {
         std::fprintf(stderr,
                      "resume from cursor %llu %s\n",
-                     static_cast<unsigned long long>(cp.base.cursor),
+                     static_cast<unsigned long long>(cp.cursor),
                      res.is_ok() ? "diverged from sequential"
                                  : res.status().to_string().c_str());
         return 1;
@@ -259,8 +274,7 @@ int main() {
         trace::VectorSource vec(std::move(whole).value());
         auto vec_stream = replay::packet_op_source(vec);
         Cache vec_cache(1024, 0x7A);
-        const auto vec_run =
-            replay::replay_sequential_stream(vec_cache, vec_stream);
+        const auto vec_run = stream_reference(vec_cache, vec_stream);
         if (!vec_run.is_ok() || !(vec_run.value() == seq)) {
             std::fprintf(stderr, "VectorSource replay diverged\n");
             return 1;

@@ -1,7 +1,7 @@
-// p4lru_ckpt — offline inspector for the durable checkpoint formats
-// (DESIGN.md §12).  Works on both on-disk layouts (P4LRUCKP cache
-// checkpoints and P4LRUTGC target checkpoints) from the header alone — no
-// Stats type needed — so it can judge any file the replay stack writes.
+// p4lru_ckpt — offline inspector for durable checkpoint images (DESIGN.md
+// §12).  Judges the one on-disk format (serialized_image.hpp) from its
+// framing and CRCs alone — no Stats type needed — so it can check any file
+// the replay stack writes, whatever the target.
 //
 //   p4lru_ckpt describe <file.ckpt>       header fields + per-section CRCs
 //   p4lru_ckpt verify <file.ckpt>...      structural + CRC verdict per file
@@ -45,21 +45,21 @@ int cmd_describe(const std::string& path) {
         return 1;
     }
     const ImageInfo& i = info.value();
+    const replay::CheckpointHeader& h = i.header;
     std::printf("file:          %s\n", path.c_str());
-    std::printf("format:        %s (version %u%s)\n", i.format.c_str(),
-                i.version, i.sealed ? ", CRC-sealed" : ", legacy unsealed");
-    std::printf("state id:      %u\n", i.id);
+    std::printf("format:        P4LRUTGC (version %u%s)\n", h.version,
+                h.sealed() ? ", CRC-sealed" : ", legacy unsealed");
+    std::printf("state id:      %u\n", h.state_id);
     std::printf("fingerprint:   0x%016llx\n",
-                static_cast<unsigned long long>(i.fingerprint));
+                static_cast<unsigned long long>(h.state_fingerprint));
     std::printf("units:         %llu\n",
-                static_cast<unsigned long long>(i.unit_count));
+                static_cast<unsigned long long>(h.unit_count));
     std::printf("cursor:        %llu ops\n",
-                static_cast<unsigned long long>(i.cursor));
-    std::printf("shards:        %llu (%llu bytes per stats record)\n",
-                static_cast<unsigned long long>(i.shard_count),
-                static_cast<unsigned long long>(i.record_bytes));
+                static_cast<unsigned long long>(h.cursor));
+    std::printf("shards:        %u (%u bytes per stats record)\n",
+                h.shard_count, h.record_bytes);
     std::printf("payload:       %llu bytes of state (%llu byte file)\n",
-                static_cast<unsigned long long>(i.payload_bytes),
+                static_cast<unsigned long long>(h.state_bytes),
                 static_cast<unsigned long long>(i.file_bytes));
     for (const auto& s : i.sections) {
         std::printf("  section %-8s [%8llu, %8llu)  crc stored %08x "
