@@ -171,11 +171,10 @@ int main() {
     Target img_target(img_cache);
     replay::SpanOpSource<Op> img_source(span);
     (void)replay::replay_target_sharded_stream(img_target, img_source, cfg);
-    const auto cut = replay::take_target_checkpoint(
-        img_target,
-        replay::BasicCheckpointCut<replay::ReplayStats>{
-            .cursor = ops.size(),
-            .stats = {ops.size(), 0, 0, 0}});
+    replay::CheckpointCut img_cut;
+    img_cut.cursor = ops.size();
+    img_cut.stats.ops = ops.size();
+    const auto cut = replay::take_target_checkpoint(img_target, img_cut);
     constexpr int kReps = 200;
     double ser_s = 0, parse_s = 0, verify_s = 0;
     replay::SerializedCheckpoint image;

@@ -392,56 +392,6 @@ void run_kernel_series(ReplaySpan span, std::size_t units,
                 identical ? "IDENTICAL" : "DIVERGED (BUG)");
 }
 
-/// Worker-pinning head-to-head: forced-threaded sharded replay with
-/// pin_workers off vs on.  On a multi-core box this prices what pinning
-/// buys (first-touch locality surviving migration); with one usable CPU it
-/// degenerates to the same core either way and the delta is noise — the
-/// rows stay labeled with the real thread count so they read correctly.
-template <typename Cache>
-void run_pinning_series(ReplaySpan span, std::size_t units,
-                        ConsoleTable& table,
-                        std::vector<bench::ReplayJsonSeries>& json) {
-    const char* layout = Cache::storage_type::layout_name();
-    const char* kernel = active_kernel_name();
-    constexpr int kReps = 3;
-
-    replay::ShardedConfig cfg;
-    cfg.shards = 4;
-    cfg.mode = replay::Mode::kThreaded;
-
-    double off_seconds = 0.0;
-    for (const bool pin : {false, true}) {
-        cfg.pin_workers = pin;
-        double best = 0.0;
-        replay::ShardedReport rep_out;
-        for (int rep = 0; rep < kReps; ++rep) {
-            Cache cache(units, 0xE1);
-            bench::StopWatch w;
-            rep_out = replay_engine(cache, span, cfg);
-            const double secs = w.seconds();
-            if (rep == 0 || secs < best) best = secs;
-        }
-        if (!pin) off_seconds = best;
-        const stats::Throughput tp{rep_out.stats.ops, best};
-        const char* mode = pin ? "pin_on" : "pin_off";
-        table.add_row({"pinning", layout, std::to_string(cfg.shards), mode,
-                       kernel, "batched", ConsoleTable::num(best, 3),
-                       ConsoleTable::num(tp.mops(), 2),
-                       ConsoleTable::num(off_seconds / best, 2),
-                       bench::pct(rep_out.stats.hit_rate())});
-        json.push_back({"pinning", layout, cfg.shards, mode, kernel,
-                        "batched", best, tp.mops(), rep_out.stats.ops,
-                        rep_out.stats.hits, rep_out.stats.misses,
-                        rep_out.stats.evictions});
-        if (pin) {
-            std::printf("pinning (%s layout, %zu shards, %zu usable cpus): "
-                        "%zu/%zu workers pinned\n",
-                        layout, cfg.shards, bench::usable_hardware_threads(),
-                        rep_out.pinned_workers, rep_out.shards);
-        }
-    }
-}
-
 /// Integrity-scrubber overhead: batched sequential replay with the scrubber
 /// off vs on a 64k-op cadence, same trace and units as the main series.
 /// The stats must be identical (a clean cache scrubs to zero findings); the
@@ -766,7 +716,6 @@ void run_replay_throughput() {
     const double soa_seconds =
         run_layout_series<SoaCache>(span, units, table, json, &soa_stats);
     run_kernel_series<SoaCache>(span, units, table, json);
-    run_pinning_series<SoaCache>(span, units, table, json);
     run_scrubber_series<SoaCache>(span, units, table, json);
     run_checkpoint_series<SoaCache>(span, units, table, json);
     run_obs_series<SoaCache>(span, units, table, json);

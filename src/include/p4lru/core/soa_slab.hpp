@@ -27,8 +27,7 @@
 // The planes support deferred initialization (core::defer_init): the slab
 // allocates without touching memory and the sharded replay engine
 // first-touches each shard's sub-range from the worker thread that will own
-// it, placing pages NUMA-locally on multi-node machines (ROADMAP: full
-// pinning builds on this).
+// it, placing pages NUMA-locally on multi-node machines.
 #pragma once
 
 #include <algorithm>

@@ -27,6 +27,8 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -355,11 +357,15 @@ class InjectedFaults {
     void mutate_key(std::uint64_t op, Key& k) const {
         for_events_at(op, [&](const FaultEvent& e) {
             if (e.kind != FaultKind::kCorruptOp) return;
+            // Edit a byte copy of the key: Key is trivially copyable but
+            // need not be trivial, so it is not a memcpy destination.
+            auto raw = std::bit_cast<std::array<unsigned char, sizeof(Key)>>(k);
             std::uint64_t bits = 0;
             const std::size_t n = std::min(sizeof(Key), sizeof(bits));
-            std::memcpy(&bits, &k, n);
+            std::memcpy(&bits, raw.data(), n);
             bits ^= e.arg;
-            std::memcpy(&k, &bits, n);
+            std::memcpy(raw.data(), &bits, n);
+            k = std::bit_cast<Key>(raw);
         });
     }
 

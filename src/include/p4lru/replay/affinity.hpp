@@ -1,27 +1,14 @@
-// Thread→core pinning for the sharded replay workers (ROADMAP: NUMA
-// pinning on top of first-touch).  A worker that first-touches its shard's
-// slab pages and is later migrated to another core — worse, another NUMA
-// node — loses the locality the first-touch bought; pinning the worker
-// before it touches anything keeps the pages on the core that will drain
-// the shard for the whole run.
-//
-// Linux-only (sched_setaffinity); a no-op returning false elsewhere, so the
-// ShardedConfig::pin_workers flag is safe to set unconditionally.
+// CPU-affinity query for sizing replay and benchmark runs: how many CPUs
+// this process may actually run on, which can be fewer than the machine
+// has (taskset, cgroup cpusets).
 #pragma once
 
 #include <cstddef>
 
 namespace p4lru::replay {
 
-/// Pin the calling thread to the `core`-th CPU it is allowed to run on
-/// (modulo the allowed count, so any shard index is a valid argument).
-/// Indexing into the *allowed* set respects a pre-restricted affinity mask
-/// (taskset, cgroup cpusets).  Returns true when the pin took effect;
-/// false on non-Linux platforms or on any syscall failure.
-bool pin_current_thread(std::size_t core);
-
 /// CPUs the calling process may run on (affinity-mask aware on Linux,
-/// 1 elsewhere) — the modulus pin_current_thread applies.
+/// 1 elsewhere).
 [[nodiscard]] std::size_t pinnable_cpus();
 
 }  // namespace p4lru::replay

@@ -15,16 +15,18 @@
 // sequential replay.
 //
 // On machines without spare hardware threads (or with ShardedConfig::mode =
-// kInline) the same dispatch/batch/prefetch structure runs on the calling
-// thread: batching still buys memory-level parallelism from the two-phase
-// prefetch-then-update pass, and determinism is unchanged.
+// kInline) the same dispatch loop runs with zero workers: one
+// dispatcher-owned slot covers every unit, so the calling thread applies
+// each block itself.  Batching still buys memory-level parallelism from the
+// two-phase route-and-prefetch then update pass, and determinism is
+// unchanged.
 //
 // Failure model (DESIGN.md §10): the engine no longer assumes every worker
 // drains its queue.  Pushes use deadline-bounded backpressure
 // (SpscQueue::try_push_for); when a shard stops making progress past
 // RobustConfig::stall_timeout_us the dispatcher's watchdog asks the worker
 // to park (cooperative abandon), waits for the park acknowledgement, then
-// *drains the shard inline*: the queued batches are applied on the
+// *takes the shard over*: the queued batches are applied on the
 // dispatcher thread in FIFO order, followed by every later op routed to that
 // shard.  A worker parks only at a batch boundary after applying its
 // prefetched pending batch, so each batch is applied exactly once and each
@@ -50,7 +52,7 @@
 // rely on workers reaching a *batch boundary* to observe abandon/snapshot
 // flags.  A worker wedged inside process_batch (e.g. stuck on a poisoned
 // page) never acknowledges; the dispatcher's park-ack wait is a bounded
-// exponential-backoff sleep (telemetry: ShardedReport::park_wait_us) rather
+// exponential-backoff sleep (telemetry: ReplayTelemetry::park_wait_us) rather
 // than a busy spin, but it still waits forever — preemptive cancellation of
 // a thread that may hold the cache mid-write cannot preserve bit-exactness.
 //
@@ -80,9 +82,9 @@
 #include "p4lru/fault/fault_plan.hpp"
 #include "p4lru/fault/status.hpp"
 #include "p4lru/obs/metrics.hpp"
-#include "p4lru/replay/affinity.hpp"
 #include "p4lru/replay/shard_plan.hpp"
 #include "p4lru/replay/spsc_queue.hpp"
+#include "p4lru/replay/telemetry.hpp"
 
 namespace p4lru::replay {
 
@@ -194,12 +196,8 @@ struct RobustConfig {
     /// the shard (spin → yield ladder inside SpscQueue::try_push_for).
     std::uint32_t push_deadline_us = 500;
     /// Continuous no-progress window after which the watchdog abandons the
-    /// shard's worker and drains the shard inline.
+    /// shard's worker and takes the shard over.
     std::uint32_t stall_timeout_us = 50'000;
-    /// Master switch for the takeover path; with it off the dispatcher still
-    /// uses bounded pushes (and still recovers from a worker that parked on
-    /// its own) but never abandons a live worker.
-    bool watchdog = true;
     /// Ops between integrity scrub passes (0 = off).  Sequential and inline
     /// replay scrub the whole array on this cadence; threaded workers scrub
     /// their own shard's unit range, so no scrub ever races an update.
@@ -212,12 +210,6 @@ struct ShardedConfig {
     std::size_t queue_batches = 64; ///< SPSC ring capacity, in batches
     Mode mode = Mode::kAuto;
     RobustConfig robust{};          ///< backpressure/watchdog/scrub knobs
-    /// Pin worker s to the s-th allowed core (affinity.hpp) before it
-    /// first-touches its shard's pages, so first-touch placement survives
-    /// scheduler migration.  Linux-only; a silent no-op elsewhere.
-    /// Off by default: on an oversubscribed machine pinning removes the
-    /// scheduler's freedom to dodge a busy core.
-    bool pin_workers = false;
     /// Live metrics sink (obs/metrics.hpp).  Null (the default) disables
     /// instrumentation entirely: instrument handles are never resolved and
     /// the hot paths pay one predicted pointer test per *batch*, so the
@@ -230,23 +222,10 @@ struct ShardedConfig {
 /// Generic over the target's mergeable statistics type; `ShardedReport` is
 /// the cache-replay instantiation.
 template <typename Stats>
-struct BasicShardedReport {
+struct BasicShardedReport : ReplayTelemetry {
     Stats stats{};
     std::size_t shards = 0;  ///< shard count after clamping
     bool threaded = false;   ///< workers spawned (vs inline fallback)
-
-    // -- degradation telemetry (all zero on a healthy run) ---------------
-    std::uint64_t backpressure_waits = 0;  ///< push deadline expiries
-    std::uint64_t park_wait_us = 0;   ///< total us slept awaiting park acks
-    std::size_t drained_inline = 0;   ///< shards the dispatcher took over
-    std::size_t abandoned_workers = 0;///< workers parked by the watchdog
-    std::size_t pinned_workers = 0;   ///< workers pinned (pin_workers set)
-    core::ScrubReport scrub{};        ///< merged scrub counters (if enabled)
-
-    [[nodiscard]] bool degraded() const noexcept {
-        return drained_inline != 0 || abandoned_workers != 0 ||
-               scrub.corrupt != 0;
-    }
 };
 
 using ShardedReport = BasicShardedReport<ReplayStats>;
@@ -397,18 +376,13 @@ class CacheReplayTarget {
 /// copy it before returning from the sink.  Generic over the target's
 /// statistics type; `CheckpointCut` is the cache-replay instantiation.
 template <typename Stats>
-struct BasicCheckpointCut {
+struct BasicCheckpointCut : ReplayTelemetry {
     std::uint64_t cursor = 0;             ///< ops applied (prefix length)
     std::uint64_t delivered_batches = 0;  ///< dispatch batches so far
     std::span<const Stats> shard_stats;   ///< per-shard split of stats
     Stats stats{};
     std::size_t shards = 0;
     bool threaded = false;
-    std::uint64_t backpressure_waits = 0;
-    std::uint64_t park_wait_us = 0;
-    std::size_t drained_inline = 0;
-    std::size_t abandoned_workers = 0;
-    core::ScrubReport scrub{};
 };
 
 using CheckpointCut = BasicCheckpointCut<ReplayStats>;
@@ -442,7 +416,7 @@ struct NoCheckpoint {
 /// source itself stages.  `Ckpt` decides at compile time whether the
 /// dispatch loop carries checkpoint triggers; `ckpt.due(delivered)` is
 /// polled at dispatch boundaries and `ckpt.emit(cut)` runs with every
-/// worker quiesced.
+/// worker quiesced.  Inline mode is the same loop with zero workers.
 ///
 /// The run covers the ops [source.tell(), source.size()) at entry, and all
 /// indices — fault ordinals, checkpoint cursors — are relative to the entry
@@ -477,6 +451,9 @@ replay_sharded_stream_impl(Target& target, Source& source,
     const bool threaded =
         cfg.mode == Mode::kThreaded ||
         (cfg.mode == Mode::kAuto && W > 1 && threads_profitable());
+    // Dispatch slots: one per worker, or — with zero workers — a single
+    // dispatcher-owned slot covering [0, units).
+    const std::size_t slots = threaded ? W : 1;
 
     BasicShardedReport<Stats> report;
     report.shards = W;
@@ -506,7 +483,13 @@ replay_sharded_stream_impl(Target& target, Source& source,
                 "replay_shard" + std::to_string(s) + "_queue_depth");
         }
     }
-    // One timed apply shared by every path (worker, takeover, inline).
+    // A telemetry counter and its obs mirror move together.
+    const auto bump = [](std::uint64_t& field, obs::Counter* mirror,
+                         std::uint64_t n) {
+        field += n;
+        if (mirror != nullptr) mirror->add(n);
+    };
+    // One timed apply shared by every path (worker, take-over, dispatcher).
     const auto apply_timed = [&target, obs_batches, obs_batch_ns](
                                  std::span<const Routed> batch, Stats& into) {
         if (obs_batch_ns != nullptr) {
@@ -522,533 +505,404 @@ replay_sharded_stream_impl(Target& target, Source& source,
         }
     };
 
-    // Cache-line-padded per-shard results (workers write concurrently).
-    struct alignas(64) PaddedStats {
-        Stats s{};
-        core::ScrubReport scrub;
-        char pinned = 0;  ///< worker pinned itself to a core
-    };
-    std::vector<PaddedStats> results(W);
-
     // Deferred-init targets: threaded workers first-touch their own shard's
     // unit sub-range below; every other path materializes right here.
     const bool first_touch = !target.materialized() && threaded;
     if (!first_touch) target.materialize();
 
-    if (!threaded) {
-        // Inline path: batched dispatch on the calling thread. Ops stay in
-        // arrival order (per-unit order is what equivalence needs), so no
-        // per-shard scatter is paid; each block gets a two-phase
-        // route-and-prefetch then update pass, overlapping the unit array's
-        // random-access latency with hashing of the following ops.  Data
-        // faults (plane/op corruption) inject here, and the scrubber runs on
-        // its cadence between blocks — both on the single owning thread.
-        Batch block;
-        block.reserve(batch_ops);
-        std::uint64_t until_scrub = scrub_every;
-        std::uint64_t delivered = 0;
-        std::uint64_t base = 0;
-        while (base < remaining) {
-            const std::size_t want = static_cast<std::size_t>(
-                std::min<std::uint64_t>(batch_ops, remaining - base));
-            auto pulled = source.next_batch(want);
-            if (!pulled.is_ok()) return pulled.status();
-            const std::span<const Op> chunk = pulled.value();
-            if (chunk.empty()) {
-                // Contract violation guard: the source promised more ops
-                // than it delivered without reporting why.
-                return invalid_state(
-                    "op source '" + std::string(source.name()) +
-                    "' ended at op " + std::to_string(base) + " of " +
-                    std::to_string(remaining));
+    // Per-slot state.  `results` is what a worker publishes (cache-line
+    // padded: workers write concurrently); `open` is the batch the
+    // dispatcher is building; `drained` holds the stats of ops the
+    // dispatcher applied itself; `inlined` marks slots the dispatcher owns —
+    // from the start with zero workers, from a take-over otherwise.
+    struct alignas(64) PaddedStats {
+        Stats s{};
+        core::ScrubReport scrub;
+    };
+    std::vector<PaddedStats> results(slots);
+    std::vector<Batch> open(slots);
+    for (auto& b : open) b.reserve(batch_ops);
+    std::vector<Stats> drained(slots);
+    std::vector<char> inlined(slots, threaded ? 0 : 1);
+    std::vector<detail::ShardCtl> ctl(slots);
+    std::vector<std::unique_ptr<SpscQueue<Batch>>> queues;  // one per worker
+    for (std::size_t s = 0; threaded && s < W; ++s) {
+        queues.push_back(std::make_unique<SpscQueue<Batch>>(
+            cfg.queue_batches ? cfg.queue_batches : 64));
+    }
+    const auto push_deadline = std::chrono::microseconds(
+        cfg.robust.push_deadline_us ? cfg.robust.push_deadline_us : 500);
+    const auto stall_timeout = std::chrono::microseconds(
+        cfg.robust.stall_timeout_us ? cfg.robust.stall_timeout_us : 50'000);
+
+    // -- worker ----------------------------------------------------------
+    const auto run_worker = [&](std::size_t s) {
+        const auto [shard_lo, shard_hi] = plan.range(s);
+        if (first_touch) {
+            // Fault this shard's slab sub-range in from the thread that will
+            // own it (first-touch placement).
+            target.first_touch_range(shard_lo, shard_hi);
+        }
+        SpscQueue<Batch>& queue = *queues[s];
+        Stats local{};
+        core::ScrubReport scrub_local;
+        Batch pending;
+        Batch next;
+        bool have_pending = false;
+        bool parked = false;
+        std::uint64_t popped = 0;
+        std::uint64_t ops_since_scrub = 0;
+        [[maybe_unused]] std::uint64_t snap_seen = 0;
+        const auto finish_pending = [&] {
+            if (!have_pending) return;
+            apply_timed(std::span<const Routed>(pending), local);
+            ops_since_scrub += pending.size();
+            have_pending = false;
+            ctl[s].progress.fetch_add(1, std::memory_order_release);
+            if (scrub_every != 0 && ops_since_scrub >= scrub_every) {
+                // Scrub only this shard's own unit range: no other thread
+                // touches those units, so the scrub never races an update.
+                scrub_local.merge(target.scrub(shard_lo, shard_hi));
+                ops_since_scrub = 0;
             }
-            const std::size_t n = chunk.size();
-            block.clear();
-            for (std::size_t i = 0; i < n; ++i) {
-                const std::uint64_t idx = base + i;
-                if constexpr (Faults::kEnabled) {
-                    Op op = chunk[i];
-                    target.inject_storage_faults(faults, idx);
-                    target.inject_op_faults(faults, idx, op);
-                    const Routed r = target.route(op);
-                    target.prefetch_unit(r.bucket);
-                    block.push_back(r);
-                } else {
-                    const Routed r = target.route(chunk[i]);
-                    target.prefetch_unit(r.bucket);
-                    block.push_back(r);
+        };
+        // One pipeline step on the batch just popped into `next` (by the
+        // normal pop or a snapshot drain): any injected delay, then warm its
+        // units and apply the previous batch — prefetch one batch ahead.
+        const auto step = [&] {
+            if constexpr (Faults::kEnabled) {
+                if (const auto us = faults.batch_delay_us(s, popped)) {
+                    std::this_thread::sleep_for(std::chrono::microseconds(us));
                 }
             }
-            apply_timed(std::span<const Routed>(block), results[0].s);
-            ++delivered;
-            base += n;
-            if (scrub_every != 0) {
-                // Carry the op remainder across blocks so the scrub fires
-                // on exactly the same op counts as the sequential path: a
-                // block of n ops may cross the cadence boundary several
-                // times (scrub_every < n) or not at all, and the leftover
-                // distance counts against the next block.
-                std::uint64_t left = n;
+            ++popped;
+            target.prefetch_batch(std::span<const Routed>(next));
+            finish_pending();
+            pending = std::move(next);
+            have_pending = true;
+        };
+        const auto publish = [&] {
+            finish_pending();
+            results[s].s = local;
+            results[s].scrub = scrub_local;
+        };
+        for (;;) {
+            // Batch-boundary checks: cooperative abandon and injected
+            // stalls.  Parking applies the prefetched pending batch first,
+            // so every popped batch is applied exactly once and the queue
+            // retains the untouched suffix for the dispatcher.
+            if (ctl[s].abandon.load(std::memory_order_acquire)) {
+                parked = true;
+                break;
+            }
+            if constexpr (Faults::kEnabled) {
+                if (faults.worker_parks(s, popped)) {
+                    parked = true;
+                    break;
+                }
+            }
+            if constexpr (Ckpt::kEnabled) {
+                const auto req =
+                    ctl[s].snap_req.load(std::memory_order_acquire);
+                if (req != snap_seen) {
+                    // Snapshot request.  The dispatcher stopped pushing
+                    // before raising the epoch, so an empty queue means
+                    // everything up to the cut has been seen: drain fully
+                    // (keeping the prefetch pipeline), publish stats, ack,
+                    // and hold at this boundary until the dispatcher
+                    // releases the epoch.
+                    while (queue.try_pop(next)) step();
+                    publish();
+                    ctl[s].snap_ack.store(req, std::memory_order_release);
+                    int spin = 0;
+                    while (ctl[s].snap_release.load(std::memory_order_acquire) <
+                           req) {
+                        if (ctl[s].abandon.load(std::memory_order_acquire)) {
+                            break;  // top of loop parks us
+                        }
+                        // Plane serialization can take a while: pause-spin
+                        // briefly, then yield.
+                        if (++spin <= 64) {
+                            cpu_relax();
+                        } else {
+                            std::this_thread::yield();
+                        }
+                    }
+                    snap_seen = req;
+                    continue;
+                }
+            }
+            if (!queue.try_pop(next)) {
+                if (!queue.closed()) {
+                    std::this_thread::yield();
+                    continue;
+                }
+                if (!queue.try_pop(next)) break;
+            }
+            step();
+        }
+        publish();
+        if (parked) {
+            // Publish park *after* the stats: the dispatcher acquires
+            // `parked` before assuming the consumer role, which orders it
+            // after everything above.
+            ctl[s].parked.store(true, std::memory_order_release);
+        }
+    };
+
+    // -- degradation ladder (dispatcher side) ----------------------------
+    // Take shard s over: from now on the dispatcher applies its ops.  The
+    // queued batches come out first, in FIFO order — exactly the suffix the
+    // worker never applied — so per-unit arrival order is preserved.
+    const auto take_over = [&](std::size_t s) {
+        inlined[s] = 1;
+        bump(report.drained_inline, obs_drained, 1);
+        Batch b;
+        while (queues[s]->try_pop(b)) {
+            target.prefetch_batch(std::span<const Routed>(b));
+            apply_timed(std::span<const Routed>(b), drained[s]);
+        }
+    };
+    // The one ladder, shared by batch delivery and the checkpoint quiesce:
+    // retry `attempt` while worker s makes progress.  A worker that parked on
+    // its own is taken over at once; one that makes no progress for
+    // stall_timeout is abandoned, awaited, then taken over.  True when the
+    // attempt succeeded, false when the dispatcher now owns shard s.
+    const auto await_or_take_over = [&](std::size_t s, auto&& attempt) {
+        auto last_progress = ctl[s].progress.load(std::memory_order_acquire);
+        auto stalled_since = std::chrono::steady_clock::now();
+        for (;;) {
+            if (attempt()) return true;
+            if (ctl[s].parked.load(std::memory_order_acquire)) {
+                break;  // worker died on its own: recover now
+            }
+            const auto p = ctl[s].progress.load(std::memory_order_acquire);
+            const auto now = std::chrono::steady_clock::now();
+            if (p != last_progress) {
+                last_progress = p;  // slow but alive: keep going
+                stalled_since = now;
+            } else if (now - stalled_since >= stall_timeout) {
+                ctl[s].abandon.store(true, std::memory_order_release);
+                bump(report.abandoned_workers, obs_abandoned, 1);
+                // Bounded-backoff wait for the park acknowledgement: sleep
+                // 1us doubling to ~1ms instead of busy-yielding, and account
+                // the slept time.  Still unbounded in total — see the
+                // cooperative-park note in the file header.
+                for (std::uint32_t us = 1;
+                     !ctl[s].parked.load(std::memory_order_acquire);
+                     us = std::min(us * 2, 1024u)) {
+                    std::this_thread::sleep_for(std::chrono::microseconds(us));
+                    bump(report.park_wait_us, obs_park_us, us);
+                }
+                break;
+            }
+        }
+        take_over(s);
+        return false;
+    };
+
+    // -- dispatcher --------------------------------------------------------
+    // Route op `idx` to its bucket.  Data faults (plane/op corruption)
+    // inject only with zero workers, where the dispatcher is the target's
+    // single owner.
+    const auto route = [&](const Op& op, [[maybe_unused]] std::uint64_t idx) {
+        if constexpr (Faults::kEnabled) {
+            if (!threaded) {
+                Op faulty = op;
+                target.inject_storage_faults(faults, idx);
+                target.inject_op_faults(faults, idx, faulty);
+                return target.route(faulty);
+            }
+        }
+        return target.route(op);
+    };
+
+    // Hand slot s's full (or final partial) batch on: push it to the worker
+    // through the ladder, or — for a dispatcher-owned slot — apply it here.
+    // Delivered batches are the checkpoint cadence unit.
+    std::uint64_t delivered = 0;
+    std::uint64_t until_scrub = scrub_every;
+    const auto deliver = [&](std::size_t s) {
+        Batch& b = open[s];
+        ++delivered;
+        const bool pushed = !inlined[s] && await_or_take_over(s, [&] {
+            if (queues[s]->try_push_for(b, push_deadline)) {
+                if (!obs_depth.empty()) {
+                    obs_depth[s]->set(
+                        static_cast<std::int64_t>(queues[s]->size_approx()));
+                }
+                return true;
+            }
+            bump(report.backpressure_waits, obs_backpressure, 1);
+            return false;
+        });
+        if (!pushed) {
+            // Any queued suffix of a taken-over shard was drained first, so
+            // per-unit order still holds.  Its ops were not warmed as they
+            // were routed: warm them now.
+            if (threaded) target.prefetch_batch(std::span<const Routed>(b));
+            apply_timed(std::span<const Routed>(b), drained[s]);
+            if (!threaded && scrub_every != 0) {
+                // Whole-array scrub, only with zero workers.  Carry the op
+                // remainder across blocks so the scrub fires on exactly the
+                // same op counts as the sequential path: a block of n ops
+                // may cross the cadence boundary several times
+                // (scrub_every < n) or not at all, and the leftover distance
+                // counts against the next block.
+                std::uint64_t left = b.size();
                 while (left >= until_scrub) {
                     left -= until_scrub;
-                    results[0].scrub.merge(target.scrub_all());
+                    report.scrub.merge(target.scrub_all());
                     until_scrub = scrub_every;
                 }
                 until_scrub -= left;
             }
-            if constexpr (Ckpt::kEnabled) {
-                if (base < remaining && ckpt.due(delivered)) {
-                    BasicCheckpointCut<Stats> cut;
-                    cut.cursor = base;
-                    cut.delivered_batches = delivered;
-                    cut.shard_stats =
-                        std::span<const Stats>(&results[0].s, 1);
-                    cut.stats = results[0].s;
-                    cut.shards = W;
-                    cut.threaded = false;
-                    cut.scrub = results[0].scrub;
-                    ckpt.emit(cut);
+        }
+        b.clear();
+    };
+
+    // Consistent cut at the op prefix [0, cursor); returns whether the sink
+    // asked the run to stop there.
+    [[maybe_unused]] std::uint64_t snap_epoch = 0;
+    [[maybe_unused]] std::vector<Stats> cut_stats(slots);
+    [[maybe_unused]] const auto cut = [&](std::uint64_t cursor) {
+        // Step 1: flush every open partial batch so the delivered set is
+        // exactly the op prefix — batch sizes never affect stats or final
+        // planes, only throughput.
+        for (std::size_t t = 0; t < slots; ++t) {
+            if (!open[t].empty()) deliver(t);
+        }
+        // Step 2: quiesce each live worker.  The epoch is raised only after
+        // the flush, so a worker's "queue empty" means "cut reached".  A
+        // worker that never acks walks the same ladder as delivery.
+        const std::uint64_t epoch = ++snap_epoch;
+        for (std::size_t t = 0; t < slots; ++t) {
+            if (!inlined[t]) {
+                ctl[t].snap_req.store(epoch, std::memory_order_release);
+            }
+        }
+        for (std::size_t t = 0; t < slots; ++t) {
+            if (inlined[t]) continue;
+            await_or_take_over(t, [&] {
+                if (ctl[t].snap_ack.load(std::memory_order_acquire) == epoch) {
+                    return true;
+                }
+                std::this_thread::yield();
+                return false;
+            });
+        }
+        // Step 3: every shard is either ack-parked at its boundary or
+        // dispatcher-owned; nobody writes the target until release, so the
+        // sink may serialize its state.
+        BasicCheckpointCut<Stats> c;
+        c.telemetry() = report.telemetry();
+        c.cursor = cursor;
+        c.delivered_batches = delivered;
+        for (std::size_t t = 0; t < slots; ++t) {
+            cut_stats[t] = results[t].s;
+            cut_stats[t].merge(drained[t]);
+            c.stats.merge(cut_stats[t]);
+            c.scrub.merge(results[t].scrub);
+        }
+        c.shard_stats = cut_stats;
+        c.shards = W;
+        c.threaded = threaded;
+        ckpt.emit(c);
+        // Step 4: resume the quiesced workers.
+        for (std::size_t t = 0; t < slots; ++t) {
+            ctl[t].snap_release.store(epoch, std::memory_order_release);
+        }
+        return ckpt.stop_requested();
+    };
+
+    // A source failure mid-dispatch; returned after the workers join.
+    Status stream_error = Status::ok();
+    {
+        std::vector<std::jthread> workers;
+        workers.reserve(queues.size());
+        for (std::size_t s = 0; s < queues.size(); ++s) {
+            workers.emplace_back(run_worker, s);
+        }
+
+        // Dispatch: pull, route, batch, deliver — and cut on cadence.
+        bool stopped = false;
+        std::uint64_t i = 0;
+        // Route one pulled chunk into the open batches.  Compiled once per
+        // case, so the per-op path tests no mode.
+        const auto dispatch_chunk = [&](std::span<const Op> chunk,
+                                        auto has_workers) {
+            for (std::size_t k = 0; k < chunk.size() && !stopped; ++k) {
+                const Routed r = route(chunk[k], i);
+                std::size_t s = 0;
+                if constexpr (has_workers) {
+                    s = plan.owner(r.bucket);
+                } else {
+                    // With zero workers the dispatcher applies every block
+                    // itself: warm the unit now, overlapping its latency
+                    // with hashing the following ops.
+                    target.prefetch_unit(r.bucket);
+                }
+                Batch& b = open[s];
+                b.push_back(r);
+                ++i;
+                if (b.size() == batch_ops) deliver(s);
+                if constexpr (Ckpt::kEnabled) {
                     // Cooperative early stop (crash injection / supervisor
-                    // shutdown): end the run at the cut just emitted, so
-                    // the report covers exactly the checkpointed prefix.
-                    if (ckpt.stop_requested()) break;
+                    // shutdown) ends the run at the cut just emitted —
+                    // never throwing, which would deadlock the parked
+                    // workers against the jthread join — so the report
+                    // covers exactly the checkpointed prefix [0, i).
+                    if (i < remaining && ckpt.due(delivered)) stopped = cut(i);
                 }
+            }
+        };
+        while (i < remaining && !stopped) {
+            const std::size_t want = static_cast<std::size_t>(
+                std::min<std::uint64_t>(batch_ops, remaining - i));
+            auto pulled = source.next_batch(want);
+            if (!pulled.is_ok()) {
+                stream_error = pulled.status();
+                break;
+            }
+            const std::span<const Op> chunk = pulled.value();
+            if (chunk.empty()) {
+                // Contract violation guard: the source promised more ops
+                // than it delivered without reporting why.
+                stream_error = invalid_state(
+                    "op source '" + std::string(source.name()) +
+                    "' ended at op " + std::to_string(i) + " of " +
+                    std::to_string(remaining));
+                break;
+            }
+            if (threaded) {
+                dispatch_chunk(chunk, std::true_type{});
+            } else {
+                dispatch_chunk(chunk, std::false_type{});
             }
         }
-    } else {
-        // Per-shard batches under construction by the dispatcher.
-        std::vector<Batch> open(W);
-        for (auto& b : open) b.reserve(batch_ops);
-
-        std::vector<std::unique_ptr<SpscQueue<Batch>>> queues;
-        queues.reserve(W);
-        for (std::size_t s = 0; s < W; ++s) {
-            queues.push_back(std::make_unique<SpscQueue<Batch>>(
-                cfg.queue_batches ? cfg.queue_batches : 64));
+        // A source failure abandons the run: nothing more is delivered (the
+        // in-flight prefix is already with the workers) and the Status
+        // surfaces after the join below.  The close wakes the workers into
+        // a closed queue and they exit cleanly.
+        for (std::size_t s = 0; s < slots; ++s) {
+            if (stream_error.is_ok() && !open[s].empty()) deliver(s);
+            if (!inlined[s]) queues[s]->close();
         }
+    }  // jthreads join here
+    if (!stream_error.is_ok()) return stream_error;
 
-        std::vector<detail::ShardCtl> ctl(W);
-        // Shards the dispatcher has taken over; their ops are applied on the
-        // dispatcher thread from the moment of takeover.
-        std::vector<char> inlined(W, 0);
-        // Dispatcher-side stats per shard (inline drains + takeover mode).
-        std::vector<Stats> drained(W);
-
-        const auto push_deadline = std::chrono::microseconds(
-            cfg.robust.push_deadline_us ? cfg.robust.push_deadline_us : 500);
-        const auto stall_timeout = std::chrono::microseconds(
-            cfg.robust.stall_timeout_us ? cfg.robust.stall_timeout_us
-                                        : 50'000);
-
-        // Checkpoint bookkeeping: delivered batch count (the cadence unit),
-        // the running snapshot epoch, and reusable per-shard scratch that
-        // CheckpointCut::shard_stats aliases during emit.
-        std::uint64_t delivered = 0;
-        // A source failure mid-dispatch; checked after the workers join.
-        Status stream_error = Status::ok();
-        [[maybe_unused]] std::uint64_t snap_epoch = 0;
-        [[maybe_unused]] std::vector<Stats> cut_stats(W);
-
-        {
-            std::vector<std::jthread> workers;
-            workers.reserve(W);
-            for (std::size_t s = 0; s < W; ++s) {
-                workers.emplace_back([&target, &queues, &results, &plan,
-                                      &ctl, &faults, &apply_timed,
-                                      first_touch, scrub_every,
-                                      pin = cfg.pin_workers, s] {
-                    (void)faults;
-                    if (pin) {
-                        // Pin before the first touch below so the shard's
-                        // pages fault in on — and stay local to — the core
-                        // that will drain them.
-                        results[s].pinned =
-                            pin_current_thread(s) ? 1 : 0;
-                    }
-                    if (first_touch) {
-                        // Fault this shard's slab sub-range in from the
-                        // thread that will own it (first-touch placement).
-                        const auto [lo, hi] = plan.range(s);
-                        target.first_touch_range(lo, hi);
-                    }
-                    const auto [shard_lo, shard_hi] = plan.range(s);
-                    Stats local{};
-                    core::ScrubReport scrub_local;
-                    Batch pending;
-                    Batch next;
-                    bool have_pending = false;
-                    bool parked = false;
-                    std::uint64_t popped = 0;
-                    std::uint64_t ops_since_scrub = 0;
-                    [[maybe_unused]] std::uint64_t snap_seen = 0;
-                    const auto finish_pending = [&] {
-                        if (!have_pending) return;
-                        apply_timed(std::span<const Routed>(pending), local);
-                        ops_since_scrub += pending.size();
-                        have_pending = false;
-                        ctl[s].progress.fetch_add(1,
-                                                  std::memory_order_release);
-                        if (scrub_every != 0 &&
-                            ops_since_scrub >= scrub_every) {
-                            // Scrub only this shard's own unit range: no
-                            // other thread touches those units, so the
-                            // scrub never races an update.
-                            scrub_local.merge(
-                                target.scrub(shard_lo, shard_hi));
-                            ops_since_scrub = 0;
-                        }
-                    };
-                    for (;;) {
-                        // Batch-boundary checks: cooperative abandon and
-                        // injected stalls.  Parking applies the prefetched
-                        // pending batch first, so every popped batch is
-                        // applied exactly once and the queue retains the
-                        // untouched suffix for the dispatcher.
-                        if (ctl[s].abandon.load(std::memory_order_acquire)) {
-                            parked = true;
-                            break;
-                        }
-                        if constexpr (Faults::kEnabled) {
-                            if (faults.worker_parks(s, popped)) {
-                                parked = true;
-                                break;
-                            }
-                        }
-                        if constexpr (Ckpt::kEnabled) {
-                            const auto req = ctl[s].snap_req.load(
-                                std::memory_order_acquire);
-                            if (req != snap_seen) {
-                                // Snapshot request.  The dispatcher stopped
-                                // pushing before raising the epoch, so an
-                                // empty queue means everything up to the
-                                // cut has been seen: drain fully (keeping
-                                // the prefetch pipeline), publish stats,
-                                // ack, and hold at this boundary until the
-                                // dispatcher releases the epoch.
-                                while (queues[s]->try_pop(next)) {
-                                    ++popped;
-                                    target.prefetch_batch(
-                                        std::span<const Routed>(next));
-                                    finish_pending();
-                                    pending = std::move(next);
-                                    have_pending = true;
-                                }
-                                finish_pending();
-                                results[s].s = local;
-                                results[s].scrub = scrub_local;
-                                ctl[s].snap_ack.store(
-                                    req, std::memory_order_release);
-                                int spin = 0;
-                                while (ctl[s].snap_release.load(
-                                           std::memory_order_acquire) < req) {
-                                    if (ctl[s].abandon.load(
-                                            std::memory_order_acquire)) {
-                                        break;  // top of loop parks us
-                                    }
-                                    // Plane serialization can take a while:
-                                    // pause-spin briefly, then yield.
-                                    if (++spin <= 64) {
-                                        cpu_relax();
-                                    } else {
-                                        std::this_thread::yield();
-                                    }
-                                }
-                                snap_seen = req;
-                                continue;
-                            }
-                        }
-                        if (!queues[s]->try_pop(next)) {
-                            if (queues[s]->closed()) {
-                                if (!queues[s]->try_pop(next)) break;
-                            } else {
-                                std::this_thread::yield();
-                                continue;
-                            }
-                        }
-                        if constexpr (Faults::kEnabled) {
-                            if (const auto us =
-                                    faults.batch_delay_us(s, popped)) {
-                                std::this_thread::sleep_for(
-                                    std::chrono::microseconds(us));
-                            }
-                        }
-                        ++popped;
-                        // Warm the next batch's units, then drain the
-                        // previous batch — prefetch one batch ahead.
-                        target.prefetch_batch(std::span<const Routed>(next));
-                        finish_pending();
-                        pending = std::move(next);
-                        have_pending = true;
-                    }
-                    finish_pending();
-                    results[s].s = local;
-                    results[s].scrub = scrub_local;
-                    if (parked) {
-                        // Publish park *after* the stats: the dispatcher
-                        // acquires `parked` before assuming the consumer
-                        // role, which orders it after everything above.
-                        ctl[s].parked.store(true, std::memory_order_release);
-                    }
-                });
-            }
-
-            // Bounded-backoff wait for a worker's park acknowledgement:
-            // sleep 1us doubling to ~1ms instead of busy-yielding, and
-            // account the slept time (park_wait_us telemetry).  The wait is
-            // still unbounded in total — see the cooperative-park note in
-            // the file header — but it no longer burns a core while a slow
-            // worker finishes its in-flight batch.
-            const auto wait_for_park = [&](std::size_t s) {
-                std::uint32_t sleep_us = 1;
-                while (!ctl[s].parked.load(std::memory_order_acquire)) {
-                    std::this_thread::sleep_for(
-                        std::chrono::microseconds(sleep_us));
-                    report.park_wait_us += sleep_us;
-                    if (obs_park_us != nullptr) obs_park_us->add(sleep_us);
-                    if (sleep_us < 1024) sleep_us <<= 1;
-                }
-            };
-
-            // Drain a dead shard's queue on the dispatcher thread: batches
-            // come out in FIFO order, exactly the suffix the worker never
-            // applied, so per-unit arrival order is preserved.
-            const auto takeover = [&](std::size_t s) {
-                inlined[s] = 1;
-                ++report.drained_inline;
-                if (obs_drained != nullptr) obs_drained->add(1);
-                Batch b;
-                while (queues[s]->try_pop(b)) {
-                    target.prefetch_batch(std::span<const Routed>(b));
-                    apply_timed(std::span<const Routed>(b), drained[s]);
-                }
-            };
-
-            // Deliver one full (or final partial) batch to shard s, walking
-            // the degradation ladder on sustained backpressure: bounded
-            // push → progress check → watchdog abandon → inline drain.
-            const auto deliver = [&](std::size_t s, Batch& b) {
-                ++delivered;
-                if (!inlined[s]) {
-                    auto last_progress =
-                        ctl[s].progress.load(std::memory_order_acquire);
-                    auto stalled_since = std::chrono::steady_clock::now();
-                    for (;;) {
-                        if (queues[s]->try_push_for(b, push_deadline)) {
-                            if (!obs_depth.empty()) {
-                                obs_depth[s]->set(static_cast<std::int64_t>(
-                                    queues[s]->size_approx()));
-                            }
-                            return;
-                        }
-                        ++report.backpressure_waits;
-                        if (obs_backpressure != nullptr) {
-                            obs_backpressure->add(1);
-                        }
-                        if (ctl[s].parked.load(std::memory_order_acquire)) {
-                            break;  // worker died on its own: recover now
-                        }
-                        const auto p =
-                            ctl[s].progress.load(std::memory_order_acquire);
-                        const auto now = std::chrono::steady_clock::now();
-                        if (p != last_progress) {
-                            last_progress = p;  // slow but alive: keep going
-                            stalled_since = now;
-                            continue;
-                        }
-                        if (cfg.robust.watchdog &&
-                            now - stalled_since >= stall_timeout) {
-                            ctl[s].abandon.store(true,
-                                                 std::memory_order_release);
-                            ++report.abandoned_workers;
-                            if (obs_abandoned != nullptr) {
-                                obs_abandoned->add(1);
-                            }
-                            wait_for_park(s);
-                            break;
-                        }
-                    }
-                    takeover(s);
-                }
-                // Inline mode: the dispatcher owns this shard; the queued
-                // suffix was drained first, so order still holds.
-                target.prefetch_batch(std::span<const Routed>(b));
-                apply_timed(std::span<const Routed>(b), drained[s]);
-            };
-
-            // Dispatch: pull, hash, route, batch, push.
-            bool stopped = false;
-            std::uint64_t i = 0;
-            while (i < remaining && !stopped) {
-                const std::size_t want = static_cast<std::size_t>(
-                    std::min<std::uint64_t>(batch_ops, remaining - i));
-                auto pulled = source.next_batch(want);
-                if (!pulled.is_ok()) {
-                    stream_error = pulled.status();
-                    break;
-                }
-                const std::span<const Op> chunk = pulled.value();
-                if (chunk.empty()) {
-                    stream_error = invalid_state(
-                        "op source '" + std::string(source.name()) +
-                        "' ended at op " + std::to_string(i) + " of " +
-                        std::to_string(remaining));
-                    break;
-                }
-                for (std::size_t k = 0; k < chunk.size() && !stopped; ++k) {
-                    const Routed r = target.route(chunk[k]);
-                    const std::size_t s = plan.owner(r.bucket);
-                    open[s].push_back(r);
-                    if (open[s].size() == batch_ops) {
-                        deliver(s, open[s]);
-                        open[s].clear();
-                    }
-                    ++i;
-                    if constexpr (Ckpt::kEnabled) {
-                        if (i < remaining && ckpt.due(delivered)) {
-                            // Consistent cut.  Step 1: flush every open partial
-                            // batch so the delivered set is exactly the op
-                            // prefix [0, i) — batch sizes never affect stats
-                            // or final planes, only throughput.
-                            for (std::size_t t = 0; t < W; ++t) {
-                                if (!open[t].empty()) {
-                                    deliver(t, open[t]);
-                                    open[t].clear();
-                                }
-                            }
-                            // Step 2: quiesce each live worker.  The epoch is
-                            // raised only after the flush, so a worker's
-                            // "queue empty" means "cut reached".  A worker
-                            // that never acks is handled with the same ladder
-                            // as deliver: parked → takeover, or watchdog
-                            // abandon → park → takeover.
-                            const std::uint64_t epoch = ++snap_epoch;
-                            for (std::size_t t = 0; t < W; ++t) {
-                                if (!inlined[t]) {
-                                    ctl[t].snap_req.store(
-                                        epoch, std::memory_order_release);
-                                }
-                            }
-                            for (std::size_t t = 0; t < W; ++t) {
-                                if (inlined[t]) continue;
-                                auto last_progress = ctl[t].progress.load(
-                                    std::memory_order_acquire);
-                                auto stalled_since =
-                                    std::chrono::steady_clock::now();
-                                for (;;) {
-                                    if (ctl[t].snap_ack.load(
-                                            std::memory_order_acquire) ==
-                                        epoch) {
-                                        break;
-                                    }
-                                    if (ctl[t].parked.load(
-                                            std::memory_order_acquire)) {
-                                        takeover(t);
-                                        break;
-                                    }
-                                    const auto p = ctl[t].progress.load(
-                                        std::memory_order_acquire);
-                                    const auto now =
-                                        std::chrono::steady_clock::now();
-                                    if (p != last_progress) {
-                                        last_progress = p;  // draining: alive
-                                        stalled_since = now;
-                                        continue;
-                                    }
-                                    if (cfg.robust.watchdog &&
-                                        now - stalled_since >= stall_timeout) {
-                                        ctl[t].abandon.store(
-                                            true, std::memory_order_release);
-                                        ++report.abandoned_workers;
-                                        if (obs_abandoned != nullptr) {
-                                            obs_abandoned->add(1);
-                                        }
-                                        wait_for_park(t);
-                                        takeover(t);
-                                        break;
-                                    }
-                                    std::this_thread::yield();
-                                }
-                            }
-                            // Step 3: every shard is either ack-parked at its
-                            // boundary or dispatcher-owned; nobody writes the
-                            // target until release, so the sink may serialize
-                            // its state.
-                            BasicCheckpointCut<Stats> cut;
-                            cut.cursor = i;
-                            cut.delivered_batches = delivered;
-                            for (std::size_t t = 0; t < W; ++t) {
-                                cut_stats[t] = results[t].s;
-                                cut_stats[t].merge(drained[t]);
-                                cut.stats.merge(cut_stats[t]);
-                                cut.scrub.merge(results[t].scrub);
-                            }
-                            cut.shard_stats = cut_stats;
-                            cut.shards = W;
-                            cut.threaded = true;
-                            cut.backpressure_waits = report.backpressure_waits;
-                            cut.park_wait_us = report.park_wait_us;
-                            cut.drained_inline = report.drained_inline;
-                            cut.abandoned_workers = report.abandoned_workers;
-                            ckpt.emit(cut);
-                            // Step 4: resume the quiesced workers.
-                            for (std::size_t t = 0; t < W; ++t) {
-                                ctl[t].snap_release.store(
-                                    epoch, std::memory_order_release);
-                            }
-                            // Cooperative early stop (crash injection /
-                            // supervisor shutdown).  Every open batch was
-                            // flushed and every queue drained to the cut
-                            // before the emit, so stopping here — never
-                            // throwing, which would deadlock the parked
-                            // workers against the jthread join — ends the run
-                            // with a report covering exactly the checkpointed
-                            // prefix [0, i): the close below wakes the
-                            // workers into an empty, closed queue and they
-                            // exit cleanly.
-                            if (ckpt.stop_requested()) stopped = true;
-                        }
-                    }
-                }  // chunk loop
-            }
-            // A source failure abandons the run: nothing more is delivered
-            // (the in-flight prefix is already with the workers) and the
-            // Status surfaces after the join below.
-            for (std::size_t s = 0; s < W; ++s) {
-                if (stream_error.is_ok() && !open[s].empty()) {
-                    deliver(s, open[s]);
-                }
-                if (!inlined[s]) queues[s]->close();
-            }
-        }  // jthreads join here
-        if (!stream_error.is_ok()) return stream_error;
-
-        // Post-join sweep: a worker that parked during the final drain (or
-        // one that died without ever filling its ring) left a queued suffix
-        // behind; apply it now, in order, on this thread.
-        for (std::size_t s = 0; s < W; ++s) {
-            Batch b;
-            bool leftovers = false;
-            while (queues[s]->try_pop(b)) {
-                leftovers = true;
-                target.prefetch_batch(std::span<const Routed>(b));
-                apply_timed(std::span<const Routed>(b), drained[s]);
-            }
-            if (leftovers && !inlined[s]) {
-                ++report.drained_inline;
-                if (obs_drained != nullptr) obs_drained->add(1);
-            }
-        }
-        if (first_touch) target.mark_materialized();
-
-        for (std::size_t s = 0; s < W; ++s) {
-            report.stats.merge(drained[s]);
-        }
+    // Post-join sweep: a worker that parked during the final drain (or one
+    // that died without ever filling its ring) left a queued suffix behind;
+    // take it over now, in order, on this thread.
+    for (std::size_t s = 0; s < queues.size(); ++s) {
+        if (!inlined[s] && queues[s]->size_approx() != 0) take_over(s);
     }
+    if (first_touch) target.mark_materialized();
 
-    for (std::size_t s = 0; s < W; ++s) {
+    for (std::size_t s = 0; s < slots; ++s) {
+        report.stats.merge(drained[s]);
         report.stats.merge(results[s].s);
         report.scrub.merge(results[s].scrub);
-        report.pinned_workers += static_cast<std::size_t>(results[s].pinned);
     }
     return report;
 }
@@ -1082,8 +936,8 @@ replay_target_sequential_stream(Target& target, Source& source,
 
 /// Sharded replay of any ReplayTarget through the shared engine: inline
 /// batched on one thread or threaded across shard workers per `cfg.mode`,
-/// with the full degradation ladder (backpressure, watchdog takeover,
-/// order-preserving inline drain) and fault hooks.  `Faults` is the
+/// with the full degradation ladder (backpressure, watchdog abandon,
+/// order-preserving take-over) and fault hooks.  `Faults` is the
 /// injection hook set: fault::NoFaults (default) compiles every hook away;
 /// fault::InjectedFaults applies a FaultPlan (worker stalls/delays in
 /// threaded mode; plane/op corruption in inline mode, where a single thread

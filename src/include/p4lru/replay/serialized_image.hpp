@@ -50,8 +50,8 @@
 #include <string>
 #include <vector>
 
-#include "p4lru/core/unit_storage.hpp"
 #include "p4lru/fault/status.hpp"
+#include "p4lru/replay/telemetry.hpp"
 
 namespace p4lru::replay {
 
@@ -65,19 +65,15 @@ struct SerializedCheckpoint {
     std::vector<std::uint64_t> section_ends;  ///< ascending; back()==size
 };
 
-/// The fixed-size header of a checkpoint image, field for field.
-struct CheckpointHeader {
+/// The fixed-size header of a checkpoint image, field for field; the
+/// inherited telemetry record is the block at offsets 48..104.
+struct CheckpointHeader : ReplayTelemetry {
     std::uint32_t version = 2;
     std::uint32_t state_id = 0;
     std::uint64_t state_fingerprint = 0;
     std::uint64_t unit_count = 0;
     std::uint64_t cursor = 0;
     std::uint64_t delivered_batches = 0;
-    std::uint64_t backpressure_waits = 0;
-    std::uint64_t park_wait_us = 0;
-    std::uint64_t drained_inline = 0;
-    std::uint64_t abandoned_workers = 0;
-    core::ScrubReport scrub{};
     std::uint32_t record_bytes = 0;  ///< R: bytes per stats record
     std::uint32_t shard_count = 0;   ///< S: per-shard slices after the total
     std::uint64_t state_bytes = 0;   ///< P: state image size

@@ -43,7 +43,7 @@ namespace p4lru::replay {
 /// carries no slices, because the suffix split cannot be combined with the
 /// prefix's).
 template <typename Stats>
-struct TargetCheckpoint {
+struct TargetCheckpoint : ReplayTelemetry {
     std::uint64_t cursor = 0;    ///< ops applied before the snapshot
     Stats stats{};               ///< merged statistics over ops [0, cursor)
     std::size_t unit_count = 0;  ///< shape guard for resume
@@ -51,11 +51,6 @@ struct TargetCheckpoint {
     std::uint64_t state_fingerprint = 0;  ///< Target::state_fingerprint()
     std::vector<Stats> shard_stats;       ///< per-shard split of stats
     std::uint64_t delivered_batches = 0;
-    std::uint64_t backpressure_waits = 0;
-    std::uint64_t park_wait_us = 0;
-    std::uint64_t drained_inline = 0;
-    std::uint64_t abandoned_workers = 0;
-    core::ScrubReport scrub{};
     std::vector<std::byte> state;  ///< target.save_state() image
 };
 
@@ -74,11 +69,7 @@ take_target_checkpoint(const Target& target,
     cp.state_fingerprint = Target::state_fingerprint();
     cp.shard_stats.assign(cut.shard_stats.begin(), cut.shard_stats.end());
     cp.delivered_batches = cut.delivered_batches;
-    cp.backpressure_waits = cut.backpressure_waits;
-    cp.park_wait_us = cut.park_wait_us;
-    cp.drained_inline = cut.drained_inline;
-    cp.abandoned_workers = cut.abandoned_workers;
-    cp.scrub = cut.scrub;
+    cp.telemetry() = cut.telemetry();
     target.save_state(cp.state);
     return cp;
 }
@@ -221,11 +212,7 @@ class RebasedTargetSink {
         cp.stats.merge(prefix_->stats);
         cp.shard_stats.clear();
         cp.delivered_batches += prefix_->delivered_batches;
-        cp.backpressure_waits += prefix_->backpressure_waits;
-        cp.park_wait_us += prefix_->park_wait_us;
-        cp.drained_inline += prefix_->drained_inline;
-        cp.abandoned_workers += prefix_->abandoned_workers;
-        cp.scrub.merge(prefix_->scrub);
+        cp.telemetry().merge(prefix_->telemetry());
         (*sink_)(std::move(cp));
     }
 
@@ -287,11 +274,7 @@ resume_target_checkpointed_stream(
     if (!streamed.is_ok()) return streamed.status();
     BasicShardedReport<Stats> rep = std::move(streamed).value();
     rep.stats.merge(cp.stats);
-    rep.backpressure_waits += cp.backpressure_waits;
-    rep.park_wait_us += cp.park_wait_us;
-    rep.drained_inline += static_cast<std::size_t>(cp.drained_inline);
-    rep.abandoned_workers += static_cast<std::size_t>(cp.abandoned_workers);
-    rep.scrub.merge(cp.scrub);
+    rep.telemetry().merge(cp.telemetry());
     return rep;
 }
 
@@ -311,11 +294,7 @@ template <typename Stats>
     h.unit_count = cp.unit_count;
     h.cursor = cp.cursor;
     h.delivered_batches = cp.delivered_batches;
-    h.backpressure_waits = cp.backpressure_waits;
-    h.park_wait_us = cp.park_wait_us;
-    h.drained_inline = cp.drained_inline;
-    h.abandoned_workers = cp.abandoned_workers;
-    h.scrub = cp.scrub;
+    h.telemetry() = cp.telemetry();
     h.record_bytes = static_cast<std::uint32_t>(sizeof(Stats));
     h.shard_count = static_cast<std::uint32_t>(cp.shard_stats.size());
     std::vector<std::byte> records;
@@ -361,11 +340,7 @@ template <typename Stats>
     cp.state_id = h.state_id;
     cp.state_fingerprint = h.state_fingerprint;
     cp.delivered_batches = h.delivered_batches;
-    cp.backpressure_waits = h.backpressure_waits;
-    cp.park_wait_us = h.park_wait_us;
-    cp.drained_inline = h.drained_inline;
-    cp.abandoned_workers = h.abandoned_workers;
-    cp.scrub = h.scrub;
+    cp.telemetry() = h.telemetry();
     io::ByteReader r(v.records);  // sized by the framing: reads succeed
     cp.shard_stats.resize(h.shard_count);
     (void)r.pod(cp.stats);

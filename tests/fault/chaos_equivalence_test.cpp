@@ -149,6 +149,20 @@ TEST(ChaosEquivalence, EveryWorkerDeadStillCompletes) {
     EXPECT_EQ(rep.stats, seq)
         << "with all workers parked the dispatcher runs the whole replay";
     expect_same_contents(seq_cache, cache);
+
+    // Same plan with rings that hold every batch (120,000 ops / 64 = 1,875
+    // < 2,048): no push ever waits, so the dispatcher never notices the
+    // parked workers and the post-join sweep must apply every queued batch.
+    auto roomy = chaos_config(4);
+    roomy.queue_batches = 2'048;
+    FlowCache swept(512, 0xA7);
+    const auto rep_swept = testutil::sharded_replay(
+        CacheReplayTarget(swept), ops, roomy, faults);
+    EXPECT_EQ(rep_swept.backpressure_waits, 0u);
+    EXPECT_EQ(rep_swept.abandoned_workers, 0u);
+    EXPECT_EQ(rep_swept.drained_inline, 4u) << "post-join sweep missed a shard";
+    EXPECT_EQ(rep_swept.stats, seq);
+    expect_same_contents(seq_cache, swept);
 }
 
 TEST(ChaosEquivalence, WatchdogAbandonsWorkerStalledMidSleep) {

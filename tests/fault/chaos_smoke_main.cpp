@@ -456,10 +456,11 @@ int main() {
         }
 
         std::printf(
-            "ok (drained_inline=%zu abandoned=%zu waits=%llu; resumed from "
+            "ok (drained_inline=%llu abandoned=%llu waits=%llu; resumed from "
             "checkpoint %zu/%zu at cursor %llu; supervised: %zu attempts, "
             "%zu crashes, %llu installs, gen %llu restored)\n",
-            rep.drained_inline, rep.abandoned_workers,
+            static_cast<unsigned long long>(rep.drained_inline),
+            static_cast<unsigned long long>(rep.abandoned_workers),
             static_cast<unsigned long long>(rep.backpressure_waits),
             static_cast<std::size_t>(seed % cps.size()) + 1, cps.size(),
             static_cast<unsigned long long>(cp.cursor),

@@ -40,11 +40,22 @@ void check_report_equal(const ShardedReport& a, const ShardedReport& b) {
     EXPECT_EQ(a.abandoned_workers, b.abandoned_workers);
 }
 
+/// No push can ever wait, so the degradation counters are deterministic
+/// (zero) and may be compared across runs.
+void expect_no_degradation(const ShardedReport& r) {
+    EXPECT_EQ(r.backpressure_waits, 0u);
+    EXPECT_EQ(r.drained_inline, 0u);
+    EXPECT_EQ(r.abandoned_workers, 0u);
+}
+
 void check_obs_equivalence(Mode mode) {
     const auto ops = zipf_ops();
     ShardedConfig cfg;
     cfg.shards = 4;
     cfg.batch_ops = 128;
+    // A ring that holds every batch (40,000 ops / 128 = 313 < 512): pushes
+    // never hit the 500us deadline, whatever the scheduler does.
+    cfg.queue_batches = 512;
     cfg.mode = mode;
 
     FlowCache off_cache(1024, 0x91);
@@ -60,6 +71,8 @@ void check_obs_equivalence(Mode mode) {
     // Obs-on is bit-identical to obs-off: statistics, report shape, and
     // the final plane bytes.
     check_report_equal(on, off);
+    expect_no_degradation(off);
+    expect_no_degradation(on);
     std::vector<std::byte> want, got;
     off_cache.storage().save_planes(want);
     on_cache.storage().save_planes(got);

@@ -10,7 +10,14 @@
 // epochs, dispatcher plane reads while workers are parked) under the race
 // detector.
 //
-// A third set drives a *system* ReplayTarget (LruMonTarget: per-partition
+// The degraded rounds run a FaultPlan through the threaded engine: one
+// worker parked from batch 0, one parked mid-run, and one batch delay long
+// enough for the watchdog to abandon its worker.  The first round puts the
+// `parked` release/acquire hand-off and the dispatcher take-over under the
+// race detector during delivery; the second repeats it with a checkpoint
+// every 2 delivered batches, so take-overs also happen inside a quiesce.
+//
+// A further set drives a *system* ReplayTarget (LruMonTarget: per-partition
 // sketch + policy + analyzer) through the same threaded engine, so the
 // generic-target worker loop — batch apply into partition-owned hash maps,
 // merged statistics, canonical state snapshots — is also raced.
@@ -121,6 +128,52 @@ int main() {
                          static_cast<unsigned long long>(rep.stats.ops),
                          static_cast<unsigned long long>(seq.ops),
                          cps.size());
+            return 1;
+        }
+    }
+
+    // --- degraded rounds (the degradation ladder) -------------------------
+    fault::FaultPlan degrade_plan;
+    degrade_plan.stall_worker(/*shard=*/0, /*at_batch=*/0)
+        .stall_worker(/*shard=*/5, /*at_batch=*/40)
+        .delay_batch(/*shard=*/3, /*at_batch=*/2, /*micros=*/50'000);
+    const fault::InjectedFaults degrade_faults(degrade_plan);
+    replay::ShardedConfig dcfg = cfg;
+    dcfg.robust.push_deadline_us = 100;
+    dcfg.robust.stall_timeout_us = 2'000;
+    std::size_t degraded_cuts = 0;
+    for (int round = 0; round < 2; ++round) {
+        Cache cache(1024, 0x7A);
+        replay::CacheReplayTarget target(cache);
+        replay::SpanOpSource source(span);
+        bool cuts_consistent = true;
+        const auto rep =
+            round == 0
+                ? replay::replay_target_sharded_stream(target, source, dcfg,
+                                                       degrade_faults)
+                : replay::replay_target_checkpointed_stream(
+                      target, source, dcfg, /*every_batches=*/2,
+                      [&](replay::TargetCheckpoint<replay::ReplayStats>&& cp) {
+                          cuts_consistent &= cp.stats.ops == cp.cursor;
+                          ++degraded_cuts;
+                      },
+                      degrade_faults);
+        if (!rep.is_ok()) {
+            std::fprintf(stderr, "degraded round %d: %s\n", round,
+                         rep.status().to_string().c_str());
+            return 1;
+        }
+        // Three shards taken over, at least one of them after an abandon.
+        const auto& r = rep.value();
+        if (!(r.stats == seq) || r.abandoned_workers == 0 ||
+            r.drained_inline < 3 || !cuts_consistent) {
+            std::fprintf(stderr,
+                         "degraded round %d: stats %s, abandoned %llu, "
+                         "drained %llu, cuts %s\n",
+                         round, r.stats == seq ? "match" : "DIVERGE",
+                         static_cast<unsigned long long>(r.abandoned_workers),
+                         static_cast<unsigned long long>(r.drained_inline),
+                         cuts_consistent ? "consistent" : "INCONSISTENT");
             return 1;
         }
     }
@@ -310,13 +363,15 @@ int main() {
 
     std::printf(
         "replay_tsan_smoke: 5 threaded rounds (eager + first-touch) + 3 "
-        "checkpointed rounds (%zu quiesce snapshots) + 3 system-target "
+        "checkpointed rounds (%zu quiesce snapshots) + 2 degraded rounds "
+        "(%zu quiesce snapshots) + 3 system-target "
         "rounds (LruMonTarget, %llu uploads, %zu-byte canonical state) + 1 "
         "supervised crash-recovery round (%zu attempts, %llu installs) + "
         "obs rounds (%llu hammered adds exact, instrumented replay inert) + "
         "3 streamed chunked-source rounds, 8 shards, stats identical to "
         "sequential (%llu ops, %llu hits, %llu evictions)\n",
-        snapshots, static_cast<unsigned long long>(seq_sys.uploads),
+        snapshots, degraded_cuts,
+        static_cast<unsigned long long>(seq_sys.uploads),
         seq_image.size(), sv.value().attempts,
         static_cast<unsigned long long>(sv.value().installs),
         static_cast<unsigned long long>(hammer_total),

@@ -147,7 +147,7 @@ int main() {
             std::fprintf(stderr, "chunked open: %s\n",
                          src.status().to_string().c_str());
         }
-        return std::move(src);
+        return src;
     };
 
     // Sequential streamed reference: cache.update per op, in stream order.
