@@ -344,6 +344,17 @@ auto run_system_series(TargetFactory&& make, const std::vector<Op>& ops,
                                     source, axis);
 }
 
+/// One sequential replay of an in-memory op sequence through `target`,
+/// returning the statistics its report() takes.  The figures that sweep
+/// policies or parameters on a one-partition system use this.
+template <typename Target>
+typename Target::Stats sequential_stats(
+    Target& target, const std::vector<typename Target::Op>& ops) {
+    replay::SpanOpSource<typename Target::Op> source(
+        std::span<const typename Target::Op>(ops.data(), ops.size()));
+    return replay::replay_target_sequential_stream(target, source).value();
+}
+
 // ---------------------------------------------------------------------------
 // Machine-readable benchmark output (BENCH_*.json).
 

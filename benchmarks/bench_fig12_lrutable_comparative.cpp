@@ -11,7 +11,7 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
-#include "p4lru/systems/lrutable/lrutable.hpp"
+#include "p4lru/systems/lrutable/lrutable_target.hpp"
 
 using namespace p4lru;
 using namespace p4lru::bench;
@@ -25,10 +25,9 @@ double miss_rate(const std::vector<PacketRecord>& trace, Factory::Ptr policy,
                  TimeNs dt) {
     LruTableConfig cfg;
     cfg.slow_path_delay = dt;
-    LruTableSystem sys(std::move(policy), cfg);
-    for (const auto& p : trace) sys.process(p);
-    sys.finish();
-    return sys.report().miss_rate;
+    LruTableTarget sys(
+        1, [&policy](std::size_t) { return std::move(policy); }, cfg);
+    return sys.report(sequential_stats(sys, trace)).miss_rate;
 }
 
 /// The paper "meticulously adjusted" the timeout threshold; reproduce that

@@ -10,7 +10,7 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
-#include "p4lru/systems/lrumon/lrumon.hpp"
+#include "p4lru/systems/lrumon/lrumon_target.hpp"
 
 using namespace p4lru;
 using namespace p4lru::bench;
@@ -27,11 +27,13 @@ double miss_rate(const std::vector<PacketRecord>& trace, Factory::Ptr policy,
     LruMonConfig cfg;
     cfg.threshold = threshold;
     cfg.track_ground_truth = false;
-    LruMonSystem sys(make_filter(FilterKind::kTower, fcfg), std::move(policy),
-                     cfg);
-    for (const auto& p : trace) sys.process(p);
-    sys.finish();
-    return sys.report().cache_miss_rate;
+    LruMonTarget sys(
+        1,
+        [&fcfg](std::size_t) {
+            return make_filter(FilterKind::kTower, fcfg);
+        },
+        [&policy](std::size_t) { return std::move(policy); }, cfg);
+    return sys.report(sequential_stats(sys, trace)).cache_miss_rate;
 }
 
 double tuned_timeout_miss(const std::vector<PacketRecord>& trace,

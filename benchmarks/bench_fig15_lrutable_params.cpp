@@ -6,7 +6,8 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
-#include "p4lru/systems/lrutable/lrutable.hpp"
+#include "p4lru/cache/similarity.hpp"
+#include "p4lru/systems/lrutable/lrutable_target.hpp"
 
 using namespace p4lru;
 using namespace p4lru::bench;
@@ -31,13 +32,16 @@ Outcome run(const std::vector<PacketRecord>& trace, Factory::Ptr policy,
             TimeNs dt) {
     LruTableConfig cfg;
     cfg.slow_path_delay = dt;
-    cfg.track_similarity = true;
-    cfg.similarity_max_accesses = 3 * trace.size() + 16;
-    LruTableSystem sys(std::move(policy), cfg);
-    for (const auto& p : trace) sys.process(p);
-    sys.finish();
-    const auto r = sys.report();
-    return {r.miss_rate, r.similarity};
+    // One access per packet plus at most one per landed fill.
+    auto tracked =
+        std::make_unique<cache::SimilarityTracked<VirtualAddress,
+                                                  std::uint32_t>>(
+            std::move(policy), 2 * trace.size() + 16);
+    const auto* tracker = tracked.get();
+    LruTableTarget sys(
+        1, [&tracked](std::size_t) { return std::move(tracked); }, cfg);
+    const double miss = sys.report(sequential_stats(sys, trace)).miss_rate;
+    return {miss, tracker->similarity()};
 }
 
 }  // namespace

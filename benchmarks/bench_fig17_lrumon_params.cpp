@@ -11,7 +11,7 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
-#include "p4lru/systems/lrumon/lrumon.hpp"
+#include "p4lru/systems/lrumon/lrumon_target.hpp"
 
 using namespace p4lru;
 using namespace p4lru::bench;
@@ -31,11 +31,13 @@ LruMonReport run(const std::vector<PacketRecord>& trace, TimeNs reset,
     fcfg.cm_width = scaled((3u << 14) / filter_scale);  // equal memory: 96KB
     LruMonConfig cfg;
     cfg.threshold = threshold;
-    LruMonSystem sys(make_filter(kind, fcfg),
-                     Factory::p4lru3(scaled(3 * (1u << 10)), 0x17A), cfg);
-    for (const auto& p : trace) sys.process(p);
-    sys.finish();
-    return sys.report();
+    LruMonTarget sys(
+        1, [&](std::size_t) { return make_filter(kind, fcfg); },
+        [](std::size_t) {
+            return Factory::p4lru3(scaled(3 * (1u << 10)), 0x17A);
+        },
+        cfg);
+    return sys.report(sequential_stats(sys, trace));
 }
 
 }  // namespace
@@ -84,7 +86,7 @@ int main() {
     {
         ConsoleTable t({"filter", "upload KPPS", "total error %",
                         "max flow error B"});
-        for (const auto [kind, name] :
+        for (const auto& [kind, name] :
              {std::pair{FilterKind::kTower, "Tower"},
               std::pair{FilterKind::kCm, "CM"},
               std::pair{FilterKind::kCu, "CU"}}) {

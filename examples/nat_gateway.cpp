@@ -12,7 +12,8 @@
 #include <memory>
 
 #include "p4lru/cache/policy.hpp"
-#include "p4lru/systems/lrutable/lrutable.hpp"
+#include "p4lru/replay/replay.hpp"
+#include "p4lru/systems/lrutable/lrutable_target.hpp"
 #include "p4lru/trace/trace_gen.hpp"
 
 using namespace p4lru;
@@ -20,14 +21,16 @@ using namespace p4lru::systems::lrutable;
 
 namespace {
 
-LruTableReport replay(const std::vector<PacketRecord>& trace,
-                      std::unique_ptr<LruTableSystem::Policy> policy) {
+LruTableReport run(const std::vector<PacketRecord>& trace,
+                   std::unique_ptr<LruTableTarget::Policy> policy) {
     LruTableConfig cfg;
     cfg.slow_path_delay = 40 * kMicrosecond;
-    LruTableSystem nat(std::move(policy), cfg);
-    for (const auto& pkt : trace) nat.process(pkt);
-    nat.finish();
-    return nat.report();
+    // One partition: the whole gateway behind a single translation cache.
+    LruTableTarget nat(
+        1, [&policy](std::size_t) { return std::move(policy); }, cfg);
+    replay::SpanOpSource<PacketRecord> packets(trace);
+    return nat.report(
+        replay::replay_target_sequential_stream(nat, packets).value());
 }
 
 void print(const char* name, const LruTableReport& r) {
@@ -57,16 +60,14 @@ int main(int argc, char** argv) {
                 stats.packets, stats.flows, stats.max_concurrent);
 
     print("P4LRU3",
-          replay(trace,
-                 std::make_unique<cache::P4lruArrayPolicy<
-                     VirtualAddress, std::uint32_t, 3>>(entries, 0x9A)));
+          run(trace, std::make_unique<cache::P4lruArrayPolicy<
+                         VirtualAddress, std::uint32_t, 3>>(entries, 0x9A)));
     print("P4LRU1",
-          replay(trace,
-                 std::make_unique<cache::P4lruArrayPolicy<
-                     VirtualAddress, std::uint32_t, 1>>(entries, 0x9A)));
+          run(trace, std::make_unique<cache::P4lruArrayPolicy<
+                         VirtualAddress, std::uint32_t, 1>>(entries, 0x9A)));
     print("IDEAL",
-          replay(trace, std::make_unique<cache::IdealLruPolicy<
-                            VirtualAddress, std::uint32_t>>(entries)));
+          run(trace, std::make_unique<cache::IdealLruPolicy<
+                         VirtualAddress, std::uint32_t>>(entries)));
 
     std::printf(
         "\nEvery slow-path packet pays the control-plane round trip; the\n"

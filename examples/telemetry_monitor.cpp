@@ -11,7 +11,8 @@
 #include <cstdlib>
 #include <memory>
 
-#include "p4lru/systems/lrumon/lrumon.hpp"
+#include "p4lru/replay/replay.hpp"
+#include "p4lru/systems/lrumon/lrumon_target.hpp"
 #include "p4lru/trace/trace_gen.hpp"
 
 using namespace p4lru;
@@ -34,11 +35,16 @@ LruMonReport monitor(const std::vector<PacketRecord>& trace,
         policy = std::make_unique<cache::P4lruArrayPolicy<
             std::uint32_t, FlowLen, 1, core::AddMerge>>(768, 0x3E);
     }
-    LruMonSystem mon(make_filter(FilterKind::kTower, fcfg), std::move(policy),
-                     cfg);
-    for (const auto& pkt : trace) mon.process(pkt);
-    mon.finish();
-    return mon.report();
+    // One partition: the whole monitor behind a single filter and cache.
+    LruMonTarget mon(
+        1,
+        [&fcfg](std::size_t) {
+            return make_filter(FilterKind::kTower, fcfg);
+        },
+        [&policy](std::size_t) { return std::move(policy); }, cfg);
+    replay::SpanOpSource<PacketRecord> packets(trace);
+    return mon.report(
+        replay::replay_target_sequential_stream(mon, packets).value());
 }
 
 }  // namespace

@@ -5,13 +5,21 @@
 // rank/n. An ideal LRU always evicts the globally least-recent entry, so its
 // similarity is exactly 1; the average over all evictions measures how close
 // a policy comes.
+//
+// SimilarityTracked wraps any ReplacementPolicy and feeds its tracker from
+// the policy's own access/fill outcomes, so a system measures similarity by
+// wrapping its policy, with no tracking switch of its own.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <stdexcept>
+#include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "p4lru/cache/policy.hpp"
 #include "p4lru/common/stats.hpp"
 
 namespace p4lru::cache {
@@ -90,6 +98,66 @@ class SimilarityTracker {
     std::unordered_map<Key, std::size_t> last_;
     std::size_t seq_ = 0;
     stats::Running samples_;
+};
+
+/// Decorator that scores the wrapped policy's evictions: after every access
+/// and fill it reports the displaced key (on_evict) and then the key left
+/// cached (on_access).  Batched paths use the base-class per-op defaults, so
+/// every op passes through the hooks.  Tracker state is not checkpointed:
+/// save_state/load_state keep the base-class `false`.
+template <typename Key, typename Value>
+class SimilarityTracked final : public ReplacementPolicy<Key, Value> {
+  public:
+    using Base = ReplacementPolicy<Key, Value>;
+
+    /// \param max_accesses budget of the tracker (at most one access is
+    ///        recorded per access/fill call).
+    SimilarityTracked(std::unique_ptr<Base> inner, std::size_t max_accesses)
+        : inner_(std::move(inner)), tracker_(max_accesses) {
+        if (!inner_) {
+            throw std::invalid_argument("SimilarityTracked: null policy");
+        }
+    }
+
+    Access<Key, Value> access(const Key& k, const Value& v,
+                              TimeNs now) override {
+        return track(k, inner_->access(k, v, now));
+    }
+
+    Access<Key, Value> fill(const Key& k, const Value& v,
+                            TimeNs now) override {
+        return track(k, inner_->fill(k, v, now));
+    }
+
+    [[nodiscard]] std::optional<Value> peek(const Key& k) const override {
+        return inner_->peek(k);
+    }
+
+    void for_each(const std::function<void(const Key&, const Value&)>& fn)
+        const override {
+        inner_->for_each(fn);
+    }
+
+    [[nodiscard]] std::size_t capacity_entries() const override {
+        return inner_->capacity_entries();
+    }
+
+    [[nodiscard]] std::string name() const override { return inner_->name(); }
+
+    /// Mean similarity over the evictions seen so far (1.0 = ideal LRU).
+    [[nodiscard]] double similarity() const noexcept {
+        return tracker_.similarity();
+    }
+
+  private:
+    Access<Key, Value> track(const Key& k, const Access<Key, Value>& a) {
+        if (a.evicted) tracker_.on_evict(a.evicted_key);
+        if (a.inserted) tracker_.on_access(k);
+        return a;
+    }
+
+    std::unique_ptr<Base> inner_;
+    SimilarityTracker<Key> tracker_;
 };
 
 }  // namespace p4lru::cache

@@ -32,16 +32,15 @@
 //   +8      4  crc_state  (CRC32 over the P state bytes)
 //   +12     4  crc_footer (CRC32 over the 12 preceding footer bytes)
 //
-// Version 1 is the same layout without the seal footer; the reader still
-// accepts it, with structural checks only.  Reading is hardened like
-// trace_io: a typed Status carries the byte offset where the image stopped
-// making sense, and the count and size fields are checked against the
-// actual image size in subtraction form *before* anything is allocated or
-// read, so no untrusted field can wrap the arithmetic or drive a huge
-// allocation.  Every strict prefix of a valid image is rejected, and in a
-// v2 image any single-bit flip trips the magic/version compare, the size
-// cross-check, or one of the four CRCs (durable_store_test proves both by
-// sweep).
+// Any other version, including the unsealed v1 layout, is rejected as
+// kCorrupt at the version field.  Reading is hardened like trace_io: a
+// typed Status carries the byte offset where the image stopped making
+// sense, and the count and size fields are checked against the actual image
+// size in subtraction form *before* anything is allocated or read, so no
+// untrusted field can wrap the arithmetic or drive a huge allocation.  Every
+// strict prefix of a valid image is rejected, and any single-bit flip trips
+// the magic/version compare, the size cross-check, or one of the four CRCs
+// (durable_store_test proves both by sweep).
 #pragma once
 
 #include <cstddef>
@@ -78,7 +77,6 @@ struct CheckpointHeader : ReplayTelemetry {
     std::uint32_t shard_count = 0;   ///< S: per-shard slices after the total
     std::uint64_t state_bytes = 0;   ///< P: state image size
 
-    [[nodiscard]] bool sealed() const noexcept { return version == 2; }
     /// (1 + S) * R; cannot overflow (both factors are below 2^32 + 1).
     [[nodiscard]] std::uint64_t records_bytes() const noexcept {
         return std::uint64_t{record_bytes} * (1 + std::uint64_t{shard_count});
@@ -92,7 +90,7 @@ struct CheckpointHeader : ReplayTelemetry {
     CheckpointHeader header, std::span<const std::byte> records,
     std::span<const std::byte> state);
 
-/// A structurally valid (and, for v2, CRC-verified) image: its header and
+/// A structurally valid, CRC-verified image: its header and
 /// views of its stats-record and state sections into the parsed buffer.
 struct CheckpointView {
     CheckpointHeader header;
@@ -109,7 +107,7 @@ struct CheckpointView {
 [[nodiscard]] Status verify_checkpoint_image(
     std::span<const std::byte> image, const std::string& origin);
 
-/// Per-section CRC verdict of a sealed image (describe output).
+/// Per-section CRC verdict of an image (describe output).
 struct SectionCheck {
     std::string name;
     std::uint64_t begin = 0;  ///< byte range [begin, end) of the section
@@ -124,12 +122,12 @@ struct SectionCheck {
 struct ImageInfo {
     CheckpointHeader header;
     std::uint64_t file_bytes = 0;
-    std::vector<SectionCheck> sections;  ///< sealed images only
+    std::vector<SectionCheck> sections;  ///< header, records, state, footer
     Status verdict;  ///< overall structural + CRC verdict
 };
 
 /// Header-level description of an image, including per-section CRC
-/// verdicts for sealed images.  Fails only when the framing itself is
+/// verdicts.  Fails only when the framing itself is
 /// broken (too short, unknown magic or version, sizes that do not add up);
 /// CRC damage is reported through ImageInfo::verdict / sections.
 [[nodiscard]] Expected<ImageInfo> describe_checkpoint_image(

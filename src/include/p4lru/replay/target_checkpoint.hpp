@@ -318,8 +318,8 @@ template <typename Stats>
 
 /// Parse a target checkpoint from an in-memory image; the reader behind
 /// read_target_checkpoint_checked (the supervisor's recovery scan shares
-/// it).  Accepts sealed v2 images (CRC-verified per section) and legacy v1
-/// images (structural checks only); `origin` names the image in errors.
+/// it).  Accepts sealed v2 images only, CRC-verified per section; `origin`
+/// names the image in errors.
 template <typename Stats>
     requires std::is_trivially_copyable_v<Stats>
 [[nodiscard]] Expected<TargetCheckpoint<Stats>> parse_target_checkpoint(

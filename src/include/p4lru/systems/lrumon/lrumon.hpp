@@ -6,15 +6,13 @@
 // better replacement policy means fewer misses, hence fewer uploads — the
 // quantity Figures 11/14/17 measure — while accuracy is structurally
 // unaffected (only the filter can under-count, and only below threshold).
+//
+// This header holds the system's configuration and report types; the system
+// itself is LruMonTarget (lrumon_target.hpp), which runs as one partition
+// for the monolithic monitor or as G partitions under the sharded engine.
 #pragma once
 
-#include <memory>
-#include <unordered_map>
-
-#include "p4lru/cache/policy.hpp"
-#include "p4lru/common/types.hpp"
-#include "p4lru/systems/lrumon/analyzer.hpp"
-#include "p4lru/systems/lrumon/tower_filter.hpp"
+#include <cstdint>
 
 namespace p4lru::systems::lrumon {
 
@@ -38,49 +36,6 @@ struct LruMonReport {
     double total_error_rate = 0.0;       ///< underestimation / total bytes
     std::uint64_t max_flow_error = 0;    ///< max per-flow underestimation
     std::uint64_t overestimated_flows = 0;  ///< must stay 0
-};
-
-class LruMonSystem {
-  public:
-    LruMonSystem(std::unique_ptr<FlowFilter> filter,
-                 std::unique_ptr<cache::ReplacementPolicy<std::uint32_t,
-                                                          FlowLen>>
-                     policy,
-                 LruMonConfig cfg);
-
-    /// Process one packet (timestamps non-decreasing).
-    void process(const PacketRecord& pkt);
-
-    /// No-op, kept for API compatibility: report() finalizes on demand, so
-    /// there is no teardown step to forget.
-    void finish();
-
-    /// Report over everything processed so far.  Exact at any point:
-    /// entries still cached in the data plane are credited to their flows
-    /// through a non-destructive overlay (the analyzer tables are never
-    /// mutated), so calling report() mid-trace, twice, or after more
-    /// packets always yields the numbers a teardown flush would.
-    [[nodiscard]] LruMonReport report() const;
-
-    [[nodiscard]] const Analyzer& analyzer() const noexcept {
-        return analyzer_;
-    }
-
-  private:
-    std::unique_ptr<FlowFilter> filter_;
-    std::unique_ptr<cache::ReplacementPolicy<std::uint32_t, FlowLen>> policy_;
-    LruMonConfig cfg_;
-    Analyzer analyzer_;
-
-    std::unordered_map<FlowKey, std::uint64_t> true_bytes_;
-    std::unordered_map<std::uint32_t, FlowKey> fp_owner_;  // ground truth aid
-
-    std::uint64_t packets_ = 0;
-    std::uint64_t filtered_ = 0;
-    std::uint64_t elephants_ = 0;
-    std::uint64_t hits_ = 0;
-    TimeNs first_ts_ = 0;
-    TimeNs last_ts_ = 0;
 };
 
 }  // namespace p4lru::systems::lrumon

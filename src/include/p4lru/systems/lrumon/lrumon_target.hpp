@@ -7,10 +7,11 @@
 // partition owns an independent filter + cache-policy + analyzer triple.
 // Every per-op effect (filter estimate, cache fill, upload) depends only on
 // the owning partition's history, so per-shard statistics over disjoint
-// partition sets merge losslessly — the mergeability invariant.  Note this
-// is a *different* (deterministic) system than one monolithic LruMonSystem:
-// G sketches see G disjoint substreams; equivalence claims are across engine
-// modes of the same target, never across targets of different geometry.
+// partition sets merge losslessly — the mergeability invariant.  One
+// partition is the paper's monolithic monitor; G > 1 is a *different*
+// (deterministic) system: G sketches see G disjoint substreams, so
+// equivalence claims are across engine modes of the same target, never
+// across targets of different geometry.
 //
 // Report determinism: LruMonStats carries only integer sums and min/max
 // timestamps; LruMonReport's derived rates are computed from the merged

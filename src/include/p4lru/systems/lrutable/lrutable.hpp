@@ -15,16 +15,15 @@
 // The replacement policy is pluggable so the comparative benches (Figure 12)
 // run the identical protocol over P4LRU3 / Timeout / Elastic / Coco / ideal
 // LRU.
+//
+// This header holds the NAT table and the system's configuration and report
+// types; the system itself is LruTableTarget (lrutable_target.hpp), which
+// runs as one partition for the monolithic gateway or as G partitions under
+// the sharded engine.
 #pragma once
 
-#include <deque>
-#include <memory>
-#include <optional>
-#include <unordered_map>
+#include <cstdint>
 
-#include "p4lru/cache/policy.hpp"
-#include "p4lru/cache/similarity.hpp"
-#include "p4lru/common/stats.hpp"
 #include "p4lru/common/types.hpp"
 
 namespace p4lru::systems::lrutable {
@@ -47,9 +46,6 @@ inline constexpr std::uint32_t kPlaceholder = 0xFFFFFFFFu;
 
 struct LruTableConfig {
     TimeNs slow_path_delay = 100 * kMicrosecond;  ///< dT
-    TimeNs base_latency = 1 * kMicrosecond;       ///< direct forwarding cost
-    bool track_similarity = false;
-    std::size_t similarity_max_accesses = 0;  ///< required when tracking
 };
 
 struct LruTableReport {
@@ -59,47 +55,6 @@ struct LruTableReport {
     std::uint64_t misses = 0;           ///< slow path, fill scheduled
     double avg_added_latency_us = 0.0;  ///< mean latency beyond base
     double miss_rate = 0.0;             ///< (placeholder_hits + misses)/packets
-    double similarity = 1.0;            ///< only if tracking enabled
-};
-
-/// The full system simulation around a pluggable cache policy.
-class LruTableSystem {
-  public:
-    using Policy = cache::ReplacementPolicy<VirtualAddress, std::uint32_t>;
-
-    LruTableSystem(std::unique_ptr<Policy> policy, LruTableConfig cfg);
-
-    /// Process one packet (packets must arrive in non-decreasing ts order).
-    /// Returns the latency experienced by this packet.
-    TimeNs process(const PacketRecord& pkt);
-
-    /// Drain remaining pending fills (end of trace).
-    void finish();
-
-    [[nodiscard]] LruTableReport report() const;
-
-    [[nodiscard]] const Policy& policy() const { return *policy_; }
-
-  private:
-    void apply_fills(TimeNs now);
-
-    struct PendingFill {
-        TimeNs ready_at = 0;
-        VirtualAddress va = 0;
-        std::uint32_t real_address = 0;
-    };
-
-    std::unique_ptr<Policy> policy_;
-    LruTableConfig cfg_;
-    NatTable nat_;
-    std::deque<PendingFill> pending_;
-    std::unique_ptr<cache::SimilarityTracker<VirtualAddress>> similarity_;
-
-    std::uint64_t packets_ = 0;
-    std::uint64_t fast_path_ = 0;
-    std::uint64_t placeholder_hits_ = 0;
-    std::uint64_t misses_ = 0;
-    stats::Running added_latency_us_;
 };
 
 }  // namespace p4lru::systems::lrutable

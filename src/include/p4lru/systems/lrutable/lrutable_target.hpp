@@ -14,9 +14,9 @@
 // mean) so merging shard statistics is exact and order-free; the report
 // derives the average from the merged integers.
 //
-// Not supported: cfg.track_similarity — the similarity metric is defined
-// over the *global* access order, which partitioned replay does not
-// preserve; the constructor rejects it rather than report a wrong number.
+// LRU similarity (Section 4.2) is measured by wrapping the policy in
+// cache::SimilarityTracked; it is defined over one global access order, so
+// it is meaningful for a one-partition target only.
 #pragma once
 
 #include <chrono>
@@ -88,11 +88,6 @@ class LruTableTarget {
         : cfg_(cfg) {
         if (partitions == 0) {
             throw std::invalid_argument("LruTableTarget: zero partitions");
-        }
-        if (cfg.track_similarity) {
-            throw std::invalid_argument(
-                "LruTableTarget: similarity tracking needs the global access "
-                "order; use LruTableSystem");
         }
         parts_.reserve(partitions);
         for (std::size_t p = 0; p < partitions; ++p) {
@@ -234,7 +229,6 @@ class LruTableTarget {
                 ? 0.0
                 : static_cast<double>(s.placeholder_hits + s.misses) /
                       static_cast<double>(s.ops);
-        r.similarity = 1.0;  // tracking unsupported (see header comment)
         return r;
     }
 

@@ -11,8 +11,7 @@ namespace p4lru::replay {
 namespace {
 
 constexpr char kMagic[8] = {'P', '4', 'L', 'R', 'U', 'T', 'G', 'C'};
-constexpr std::uint32_t kVersionLegacy = 1;  // no seal footer
-constexpr std::uint32_t kVersionSealed = 2;  // per-section CRC32 footer
+constexpr std::uint32_t kVersion = 2;  // per-section CRC32 footer
 constexpr std::size_t kCheckpointHeaderBytes = 120;
 constexpr std::size_t kCheckpointSealBytes = 16;
 
@@ -86,13 +85,12 @@ Expected<CheckpointHeader> parse_frame(std::span<const std::byte> image,
            r.u64(h.scrub.scanned) && r.u64(h.scrub.corrupt) &&
            r.u64(h.scrub.repaired) && r.u32(h.record_bytes) &&
            r.u32(h.shard_count) && r.u64(h.state_bytes));
-    if (h.version != kVersionLegacy && h.version != kVersionSealed) {
+    if (h.version != kVersion) {
         return corrupt("unsupported checkpoint version " +
                            std::to_string(h.version) + " in " + origin,
                        kOffVersion);
     }
-    const std::uint64_t seal = h.sealed() ? kCheckpointSealBytes : 0;
-    if (file_size - kCheckpointHeaderBytes < seal) {
+    if (file_size - kCheckpointHeaderBytes < kCheckpointSealBytes) {
         return truncated("image of " + std::to_string(file_size) +
                              " bytes from '" + origin +
                              "' is shorter than header + seal footer",
@@ -101,7 +99,8 @@ Expected<CheckpointHeader> parse_frame(std::span<const std::byte> image,
     if (h.record_bytes == 0) {
         return corrupt("stats record size 0 in " + origin, kOffRecordBytes);
     }
-    const std::uint64_t body = file_size - kCheckpointHeaderBytes - seal;
+    const std::uint64_t body =
+        file_size - kCheckpointHeaderBytes - kCheckpointSealBytes;
     const std::uint64_t records = h.records_bytes();
     if (records > body || h.state_bytes > body - records) {
         return truncated(
@@ -122,7 +121,7 @@ Expected<CheckpointHeader> parse_frame(std::span<const std::byte> image,
     return h;
 }
 
-/// CRC verification of a sealed image whose framing parse_frame accepted.
+/// CRC verification of an image whose framing parse_frame accepted.
 /// The footer's own CRC is checked first, so a damaged stored CRC is
 /// reported at the footer rather than blamed on the section it covers.
 Status check_seal(std::span<const std::byte> image, const CheckpointHeader& h,
@@ -150,7 +149,7 @@ Status check_seal(std::span<const std::byte> image, const CheckpointHeader& h,
 SerializedCheckpoint seal_checkpoint_image(
     CheckpointHeader header, std::span<const std::byte> records,
     std::span<const std::byte> state) {
-    header.version = kVersionSealed;
+    header.version = kVersion;
     header.state_bytes = state.size();
     SerializedCheckpoint out;
     auto& buf = out.bytes;
@@ -196,10 +195,8 @@ Expected<CheckpointView> parse_checkpoint_image(
     if (!frame.is_ok()) return frame.status();
     CheckpointView view;
     view.header = frame.value();
-    if (view.header.sealed()) {
-        if (Status st = check_seal(image, view.header, origin); !st.is_ok()) {
-            return st;
-        }
+    if (Status st = check_seal(image, view.header, origin); !st.is_ok()) {
+        return st;
     }
     const auto secs = sections_of(view.header);
     view.records = image.subspan(secs[1].begin, secs[1].len);
@@ -219,21 +216,19 @@ Expected<ImageInfo> describe_checkpoint_image(
     ImageInfo info;
     info.header = frame.value();
     info.file_bytes = image.size();
-    if (info.header.sealed()) {
-        const auto secs = sections_of(info.header);
-        for (std::size_t which = 0; which < secs.size(); ++which) {
-            const Section& s = secs[which];
-            SectionCheck sc;
-            sc.name = s.name;
-            sc.begin = s.begin;
-            sc.end = s.begin + s.len;
-            sc.stored = stored_crc(image, info.header, which);
-            sc.computed = crc_over(image.subspan(s.begin, s.len));
-            sc.ok = sc.stored == sc.computed;
-            info.sections.push_back(std::move(sc));
-        }
-        info.verdict = check_seal(image, info.header, origin);
+    const auto secs = sections_of(info.header);
+    for (std::size_t which = 0; which < secs.size(); ++which) {
+        const Section& s = secs[which];
+        SectionCheck sc;
+        sc.name = s.name;
+        sc.begin = s.begin;
+        sc.end = s.begin + s.len;
+        sc.stored = stored_crc(image, info.header, which);
+        sc.computed = crc_over(image.subspan(s.begin, s.len));
+        sc.ok = sc.stored == sc.computed;
+        info.sections.push_back(std::move(sc));
     }
+    info.verdict = check_seal(image, info.header, origin);
     return info;
 }
 

@@ -8,6 +8,8 @@
 
 #include "../test_util.hpp"
 #include "p4lru/cache/policy.hpp"
+#include "p4lru/systems/lrutable/lrutable_target.hpp"
+#include "p4lru/trace/trace_gen.hpp"
 
 namespace p4lru::cache {
 namespace {
@@ -126,6 +128,73 @@ TEST(SimilarityTracker, FifoScoresBelowLru) {
     ASSERT_GT(t.evictions(), 500u);
     EXPECT_LT(t.similarity(), 0.95);
     EXPECT_GT(t.similarity(), 0.2);
+}
+
+// ---------------------------------------------------------------------------
+// SimilarityTracked: the decorator inside a one-partition LruTable, scoring
+// both the read-path placeholder inserts and the landed fills.
+
+using systems::lrutable::LruTableConfig;
+using systems::lrutable::LruTableTarget;
+using systems::lrutable::VirtualAddress;
+using Tracked = SimilarityTracked<VirtualAddress, std::uint32_t>;
+
+std::vector<PacketRecord> nat_trace() {
+    trace::TraceConfig tc;
+    tc.total_packets = 30'000;
+    return trace::generate_trace(tc);
+}
+
+struct TrackedRun {
+    double similarity = 0.0;
+    systems::lrutable::LruTableStats stats;
+};
+
+/// Replay `trace` through a one-partition LruTable whose policy is `inner`
+/// wrapped in SimilarityTracked with an access budget of `budget`.
+TrackedRun run_tracked(
+    std::unique_ptr<ReplacementPolicy<VirtualAddress, std::uint32_t>> inner,
+    std::size_t budget, const std::vector<PacketRecord>& trace, TimeNs dt) {
+    auto tracked = std::make_unique<Tracked>(std::move(inner), budget);
+    const Tracked* view = tracked.get();
+    LruTableConfig cfg;
+    cfg.slow_path_delay = dt;
+    LruTableTarget nat(
+        1, [&tracked](std::size_t) { return std::move(tracked); }, cfg);
+    const auto stats = testutil::sequential_replay(
+        nat, std::span<const PacketRecord>(trace));
+    return {view->similarity(), stats};
+}
+
+std::unique_ptr<ReplacementPolicy<VirtualAddress, std::uint32_t>> p4lru3(
+    std::size_t entries) {
+    return std::make_unique<
+        P4lruArrayPolicy<VirtualAddress, std::uint32_t, 3>>(entries, 0xA);
+}
+
+TEST(SimilarityTracked, IdealLruInsideLruTableScoresExactlyOne) {
+    const auto trace = nat_trace();
+    const auto run = run_tracked(
+        std::make_unique<IdealLruPolicy<VirtualAddress, std::uint32_t>>(64),
+        2 * trace.size(), trace, 40 * kMicrosecond);
+    // Every miss inserts; beyond the 64 entries each one evicts.
+    ASSERT_GT(run.stats.misses, 4 * 64u);
+    EXPECT_EQ(run.similarity, 1.0);
+}
+
+TEST(SimilarityTracked, P4lru3InsideLruTableScoresBelowOne) {
+    const auto trace = nat_trace();
+    const auto run =
+        run_tracked(p4lru3(600), 2 * trace.size(), trace, 10 * kMicrosecond);
+    EXPECT_GT(run.similarity, 0.3);
+    EXPECT_LE(run.similarity, 1.0);
+}
+
+TEST(SimilarityTracked, ExceedingTheAccessBudgetThrows) {
+    const auto trace = nat_trace();
+    EXPECT_THROW(run_tracked(p4lru3(30), 10, trace, 10 * kMicrosecond),
+                 std::logic_error);
+    EXPECT_THROW(Tracked(nullptr, 10), std::invalid_argument);
 }
 
 }  // namespace

@@ -24,8 +24,8 @@ TEST(Permutation, ConstructorRejectsInvalidBottomRows) {
 
 TEST(Permutation, IndexAccessOutOfRangeThrows) {
     const Permutation p({2, 1});
-    EXPECT_THROW(p(0), std::out_of_range);
-    EXPECT_THROW(p(3), std::out_of_range);
+    EXPECT_THROW((void)p(0), std::out_of_range);
+    EXPECT_THROW((void)p(3), std::out_of_range);
 }
 
 // The paper's footnote 2: (p x q)(j) = q(p(j)).
@@ -100,7 +100,7 @@ TEST(Permutation, FactorialValues) {
     EXPECT_EQ(factorial(1), 1u);
     EXPECT_EQ(factorial(3), 6u);
     EXPECT_EQ(factorial(6), 720u);
-    EXPECT_THROW(factorial(21), std::overflow_error);
+    EXPECT_THROW((void)factorial(21), std::overflow_error);
 }
 
 TEST(Permutation, ToStringFormat) {

@@ -27,7 +27,8 @@ TEST(StateCodec, DecodeRejectsBadCode) {
 }
 
 TEST(StateCodec, EncodeRejectsWrongSize) {
-    EXPECT_THROW(encode_lru3(Permutation({2, 1})), std::invalid_argument);
+    EXPECT_THROW((void)encode_lru3(Permutation({2, 1})),
+                 std::invalid_argument);
 }
 
 TEST(StateCodec, EvenPermutationsGetEvenCodes) {

@@ -298,17 +298,18 @@ TEST_F(CheckpointIoTest, CrossLayoutResumeRejectedAfterDiskRoundTrip) {
     EXPECT_TRUE(ok.is_ok()) << ok.status().to_string();
 }
 
-/// Backward compatibility: a v1 file (same layout, no seal footer) must
-/// still parse, field for field.
-TEST_F(CheckpointIoTest, LegacyV1FileWithoutSealStillAccepted) {
-    const auto cp = sample_checkpoint();
-    const SerializedCheckpoint image = serialize_target_checkpoint(cp);
+/// A v1 file (same layout, no seal footer) would bypass every CRC, so it
+/// is rejected like any unknown version: kCorrupt at the version field.
+TEST_F(CheckpointIoTest, LegacyV1FileWithoutSealRejected) {
+    const SerializedCheckpoint image =
+        serialize_target_checkpoint(sample_checkpoint());
     std::vector<std::byte> v1(image.bytes.begin(), image.bytes.end() - 16);
     patch<std::uint32_t>(v1, 8, 1);
     write_raw(v1);
     const auto rd = read();
-    ASSERT_TRUE(rd.is_ok()) << rd.status().to_string();
-    expect_equal(cp, rd.value());
+    ASSERT_FALSE(rd.is_ok());
+    EXPECT_EQ(rd.status().code(), ErrorCode::kCorrupt);
+    EXPECT_EQ(rd.status().offset(), 8u);
 }
 
 /// The seal at work: one flipped byte in each section must be caught by

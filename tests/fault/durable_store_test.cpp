@@ -410,7 +410,7 @@ TEST(DurableStoreTest, DescribeReportsBothFormatsAndLegacyFiles) {
             describe_checkpoint_image(cache_image().bytes, "cache");
         ASSERT_TRUE(info.is_ok()) << info.status().to_string();
         EXPECT_EQ(info.value().header.shard_count, 3u);
-        EXPECT_TRUE(info.value().header.sealed());
+        EXPECT_EQ(info.value().header.version, 2u);
         EXPECT_TRUE(info.value().verdict.is_ok());
         ASSERT_EQ(info.value().sections.size(), 4u);
         for (const auto& s : info.value().sections) EXPECT_TRUE(s.ok);
@@ -419,7 +419,7 @@ TEST(DurableStoreTest, DescribeReportsBothFormatsAndLegacyFiles) {
         const auto info =
             describe_checkpoint_image(tgc_image().bytes, "tgc");
         ASSERT_TRUE(info.is_ok()) << info.status().to_string();
-        EXPECT_TRUE(info.value().header.sealed());
+        EXPECT_EQ(info.value().header.version, 2u);
         EXPECT_EQ(info.value().header.cursor, sample_tgc().cursor);
         EXPECT_EQ(info.value().header.shard_count, 2u);
         EXPECT_TRUE(info.value().verdict.is_ok());
@@ -437,20 +437,21 @@ TEST(DurableStoreTest, DescribeReportsBothFormatsAndLegacyFiles) {
         EXPECT_EQ(info.status().offset(), 0u);
     }
     {
-        // A v1 file: same image without the seal, version patched to 1.
+        // A v1 file (same image without the seal, version patched to 1)
+        // would bypass every CRC, so it is an unknown version: a typed
+        // kCorrupt at the version field, from describe and the typed
+        // reader alike.
         std::vector<std::byte> legacy = tgc_image().bytes;
         legacy.resize(legacy.size() - 16);
         legacy[8] = std::byte{1};
         const auto info = describe_checkpoint_image(legacy, "legacy");
-        ASSERT_TRUE(info.is_ok()) << info.status().to_string();
-        EXPECT_EQ(info.value().header.version, 1u);
-        EXPECT_FALSE(info.value().header.sealed());
-        EXPECT_TRUE(info.value().sections.empty());
-        EXPECT_TRUE(info.value().verdict.is_ok());
-        // ...and the typed reader still accepts it.
+        ASSERT_FALSE(info.is_ok());
+        EXPECT_EQ(info.status().code(), ErrorCode::kCorrupt);
+        EXPECT_EQ(info.status().offset(), 8u);
         const auto cp = parse_target_checkpoint<ReplayStats>(legacy, "v1");
-        ASSERT_TRUE(cp.is_ok()) << cp.status().to_string();
-        EXPECT_EQ(cp.value().stats, sample_tgc().stats);
+        ASSERT_FALSE(cp.is_ok());
+        EXPECT_EQ(cp.status().code(), ErrorCode::kCorrupt);
+        EXPECT_EQ(cp.status().offset(), 8u);
     }
 }
 

@@ -193,7 +193,8 @@ TEST(DriverRetry, ZeroAttemptsRejected) {
     auto cfg = base_config();
     cfg.flaky = &flaky;
     cfg.retry.max_attempts = 0;
-    EXPECT_THROW(run_driver(cfg, server, &cache), std::invalid_argument);
+    EXPECT_THROW((void)run_driver(cfg, server, &cache),
+                 std::invalid_argument);
 }
 
 }  // namespace

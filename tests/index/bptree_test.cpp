@@ -102,7 +102,9 @@ TEST(BPlusTree, SmallFanoutStressValidates) {
     rng::Xoshiro256 rng(5);
     for (int i = 0; i < 5000; ++i) {
         t.insert(static_cast<std::uint32_t>(rng.between(0, 2000)), 1);
-        if (i % 500 == 0) ASSERT_TRUE(t.validate()) << "at " << i;
+        if (i % 500 == 0) {
+            ASSERT_TRUE(t.validate()) << "at " << i;
+        }
     }
     EXPECT_TRUE(t.validate());
 }

@@ -58,9 +58,9 @@ TEST(RecordStore, WriteOverwrites) {
 TEST(RecordStore, InvalidAddressesThrow) {
     RecordStore s;
     s.allocate(payload(1, 0));
-    EXPECT_THROW(s.read(kNullRecord), std::out_of_range);
-    EXPECT_THROW(s.read(7), std::out_of_range);    // misaligned
-    EXPECT_THROW(s.read(640), std::out_of_range);  // beyond store
+    EXPECT_THROW((void)s.read(kNullRecord), std::out_of_range);
+    EXPECT_THROW((void)s.read(7), std::out_of_range);    // misaligned
+    EXPECT_THROW((void)s.read(640), std::out_of_range);  // beyond store
 }
 
 TEST(RecordStore, ValidPredicate) {

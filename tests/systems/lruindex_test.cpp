@@ -85,10 +85,12 @@ TEST(Driver, RejectsBadConfig) {
     DbServer server(100, quick_costs());
     DriverConfig cfg;
     cfg.threads = 0;
-    EXPECT_THROW(run_driver(cfg, server, nullptr), std::invalid_argument);
+    EXPECT_THROW((void)run_driver(cfg, server, nullptr),
+                 std::invalid_argument);
     cfg = DriverConfig{};
     cfg.use_cache = true;
-    EXPECT_THROW(run_driver(cfg, server, nullptr), std::invalid_argument);
+    EXPECT_THROW((void)run_driver(cfg, server, nullptr),
+                 std::invalid_argument);
 }
 
 DriverConfig small_driver(std::size_t threads, std::size_t queries,
@@ -153,7 +155,7 @@ TEST(Driver, SkewMakesCachingEffective) {
 TEST(Driver, SeriesCacheStaysDuplicateFreeUnderLoad) {
     DbServer server(5'000, quick_costs());
     SeriesIndexCache cache(3, 128, 0x61);
-    run_driver(small_driver(4, 10'000, 5'000), server, &cache);
+    (void)run_driver(small_driver(4, 10'000, 5'000), server, &cache);
     for (DbKey k = 0; k < 5'000; k += 13) {
         ASSERT_TRUE(cache.series().duplicate_free(k)) << k;
     }

@@ -1,4 +1,6 @@
-#include "p4lru/systems/lrumon/lrumon.hpp"
+// LruMon's paper properties, checked on the shipped system: a one-partition
+// LruMonTarget, fed one packet at a time or through the sequential replay.
+#include "p4lru/systems/lrumon/lrumon_target.hpp"
 
 #include <gtest/gtest.h>
 
@@ -35,21 +37,40 @@ PacketRecord packet(std::uint32_t flow_id, TimeNs ts, std::uint32_t len) {
     return p;
 }
 
+/// The monolithic monitor: one partition owning `filter` and `policy`.
+struct Monitor {
+    Monitor(std::unique_ptr<FlowFilter> filter,
+            std::unique_ptr<MonPolicy> policy, LruMonConfig cfg)
+        : target(
+              1, [&filter](std::size_t) { return std::move(filter); },
+              [&policy](std::size_t) { return std::move(policy); }, cfg) {}
+
+    void process(const PacketRecord& p) {
+        testutil::apply_op(target, p, stats);
+    }
+    void replay(const std::vector<PacketRecord>& trace) {
+        stats = testutil::sequential_replay(
+            target, std::span<const PacketRecord>(trace));
+    }
+    [[nodiscard]] LruMonReport report() const { return target.report(stats); }
+
+    LruMonTarget target;
+    LruMonStats stats{};
+};
+
 TEST(LruMonSystem, RejectsNullComponents) {
     LruMonConfig cfg;
-    EXPECT_THROW(LruMonSystem(nullptr, p4lru3(30), cfg),
-                 std::invalid_argument);
-    EXPECT_THROW(LruMonSystem(tower(), nullptr, cfg), std::invalid_argument);
+    EXPECT_THROW(Monitor(nullptr, p4lru3(30), cfg), std::invalid_argument);
+    EXPECT_THROW(Monitor(tower(), nullptr, cfg), std::invalid_argument);
 }
 
 TEST(LruMonSystem, MousePacketsAreFiltered) {
     LruMonConfig cfg;
     cfg.threshold = 1'000'000;  // nothing passes
-    LruMonSystem sys(tower(), p4lru3(300), cfg);
+    Monitor sys(tower(), p4lru3(300), cfg);
     for (int i = 0; i < 100; ++i) {
         sys.process(packet(i, static_cast<TimeNs>(i), 100));
     }
-    sys.finish();
     const auto r = sys.report();
     EXPECT_EQ(r.filtered_packets, 100u);
     EXPECT_EQ(r.elephant_packets, 0u);
@@ -61,12 +82,11 @@ TEST(LruMonSystem, MousePacketsAreFiltered) {
 TEST(LruMonSystem, ElephantIsMeasuredExactly) {
     LruMonConfig cfg;
     cfg.threshold = 1500;
-    LruMonSystem sys(tower(kSecond), p4lru3(300), cfg);
+    Monitor sys(tower(kSecond), p4lru3(300), cfg);
     // One flow, 100 packets x 1000B: crosses the threshold at packet 2.
     for (int i = 0; i < 100; ++i) {
         sys.process(packet(1, static_cast<TimeNs>(i * 1000), 1000));
     }
-    sys.finish();
     const auto r = sys.report();
     EXPECT_EQ(r.total_bytes, 100'000u);
     // Only the first packet (filter estimate 1000 < 1500) escapes.
@@ -82,9 +102,8 @@ TEST(LruMonSystem, NeverOverestimatesAnyFlow) {
     const auto tr = trace::generate_trace(tc);
     LruMonConfig cfg;
     cfg.threshold = 1500;
-    LruMonSystem sys(tower(), p4lru3(3'000), cfg);
-    for (const auto& p : tr) sys.process(p);
-    sys.finish();
+    Monitor sys(tower(), p4lru3(3'000), cfg);
+    sys.replay(tr);
     const auto r = sys.report();
     EXPECT_EQ(r.overestimated_flows, 0u);
     EXPECT_GT(r.measured_bytes, 0u);
@@ -98,9 +117,8 @@ TEST(LruMonSystem, MaxFlowErrorBoundedByThresholdPerWindow) {
     LruMonConfig cfg;
     cfg.threshold = 2'000;
     const TimeNs reset = 100 * kMillisecond;  // 10 windows
-    LruMonSystem sys(tower(reset), p4lru3(3'000), cfg);
-    for (const auto& p : tr) sys.process(p);
-    sys.finish();
+    Monitor sys(tower(reset), p4lru3(3'000), cfg);
+    sys.replay(tr);
     const auto r = sys.report();
     // Per window a flow can lose at most threshold + one MTU; across the
     // whole trace that is bounded by windows * (threshold + MTU).
@@ -110,11 +128,10 @@ TEST(LruMonSystem, MaxFlowErrorBoundedByThresholdPerWindow) {
 TEST(LruMonSystem, UploadsOnlyOnCacheMisses) {
     LruMonConfig cfg;
     cfg.threshold = 100;  // everything is an elephant
-    LruMonSystem sys(tower(kSecond), p4lru3(3), cfg);  // one cache unit
+    Monitor sys(tower(kSecond), p4lru3(3), cfg);  // one cache unit
     sys.process(packet(1, 0, 1000));  // miss -> upload
     sys.process(packet(1, 1, 1000));  // hit
     sys.process(packet(2, 2, 1000));  // miss -> upload
-    sys.finish();
     const auto r = sys.report();
     EXPECT_EQ(r.uploads, 2u);
     EXPECT_EQ(r.cache_hits, 1u);
@@ -123,31 +140,30 @@ TEST(LruMonSystem, UploadsOnlyOnCacheMisses) {
 TEST(LruMonSystem, EvictedBytesAreCreditedViaAnalyzer) {
     LruMonConfig cfg;
     cfg.threshold = 100;
-    LruMonSystem sys(tower(kSecond), p4lru3(3), cfg);  // one unit, 3 entries
+    Monitor sys(tower(kSecond), p4lru3(3), cfg);  // one unit, 3 entries
     // Fill the unit with flows 1..3, then insert 4: flow 1 evicted; its
     // bytes must land in the analyzer table for flow 1.
     for (std::uint32_t f = 1; f <= 3; ++f) sys.process(packet(f, f, 500));
     sys.process(packet(1, 10, 700));  // flow 1 now 1200 bytes cached
     for (std::uint32_t f = 2; f <= 3; ++f) sys.process(packet(f, f + 20, 1));
     sys.process(packet(4, 30, 999));  // evicts flow 1
-    sys.finish();
     const auto r = sys.report();
     EXPECT_EQ(r.overestimated_flows, 0u);
-    EXPECT_EQ(sys.analyzer().measured_bytes(make_flow(1)), 1200u);
+    EXPECT_EQ(sys.target.analyzer(0).measured_bytes(make_flow(1)), 1200u);
     EXPECT_EQ(r.total_error_rate, 0.0);  // threshold 100 < every packet
 }
 
 TEST(LruMonSystem, ReportFinalizesOnDemand) {
     LruMonConfig cfg;
     cfg.threshold = 100;
-    LruMonSystem sys(tower(kSecond), p4lru3(300), cfg);
+    Monitor sys(tower(kSecond), p4lru3(300), cfg);
     sys.process(packet(1, 0, 5'000));
     // The 5000 bytes are still cached in the data plane, yet report()
-    // credits them immediately — no finish() call required.
+    // credits them immediately — there is no teardown step.
     const auto before = sys.report();
     EXPECT_EQ(before.measured_bytes, 5'000u);
     EXPECT_EQ(before.total_error_rate, 0.0);
-    sys.finish();  // no-op alias, kept for API compatibility
+    // Reporting does not consume the overlay: a second report agrees.
     const auto after = sys.report();
     EXPECT_EQ(after.measured_bytes, 5'000u);
     EXPECT_EQ(after.total_error_rate, 0.0);
@@ -162,9 +178,8 @@ TEST(LruMonSystem, BetterCacheMeansFewerUploads) {
         LruMonConfig cfg;
         cfg.threshold = 1500;
         cfg.track_ground_truth = false;
-        LruMonSystem sys(tower(), std::move(policy), cfg);
-        for (const auto& p : tr) sys.process(p);
-        sys.finish();
+        Monitor sys(tower(), std::move(policy), cfg);
+        sys.replay(tr);
         return sys.report().uploads;
     };
     const auto u3 = uploads(p4lru3(3'000));
@@ -182,9 +197,8 @@ TEST(LruMonSystem, HigherThresholdFewerUploads) {
         LruMonConfig cfg;
         cfg.threshold = threshold;
         cfg.track_ground_truth = false;
-        LruMonSystem sys(tower(), p4lru3(3'000), cfg);
-        for (const auto& p : tr) sys.process(p);
-        sys.finish();
+        Monitor sys(tower(), p4lru3(3'000), cfg);
+        sys.replay(tr);
         return sys.report().uploads;
     };
     EXPECT_GT(uploads(500), uploads(4'000));
@@ -193,22 +207,22 @@ TEST(LruMonSystem, HigherThresholdFewerUploads) {
 TEST(LruMonSystem, WindowResetForgetsOldTraffic) {
     LruMonConfig cfg;
     cfg.threshold = 1500;
-    LruMonSystem sys(tower(10 * kMillisecond), p4lru3(300), cfg);
+    Monitor sys(tower(10 * kMillisecond), p4lru3(300), cfg);
     // 1000B in window 0: below threshold, filtered.
     sys.process(packet(1, 0, 1000));
     // 1000B in window 5: the counter was reset, still below threshold.
     sys.process(packet(1, 50 * kMillisecond, 1000));
-    sys.finish();
     EXPECT_EQ(sys.report().elephant_packets, 0u);
 }
 
 TEST(LruMonSystem, ReportIsIdempotentAcrossFinishAndMoreTraffic) {
     LruMonConfig cfg;
     cfg.threshold = 100;
-    LruMonSystem sys(tower(kSecond), p4lru3(300), cfg);
+    Monitor sys(tower(kSecond), p4lru3(300), cfg);
     sys.process(packet(1, 0, 5'000));
-    sys.finish();
-    // finish() is a no-op: processing continues and report() stays exact.
+    // A mid-trace report finalizes nothing: processing continues and the
+    // next report() stays exact.
+    EXPECT_EQ(sys.report().measured_bytes, 5'000u);
     sys.process(packet(2, 1, 7'000));
     const auto r1 = sys.report();
     const auto r2 = sys.report();

@@ -1,4 +1,7 @@
-#include "p4lru/systems/lrutable/lrutable.hpp"
+// LruTable's paper properties, checked on the shipped system: a
+// one-partition LruTableTarget, fed one packet at a time or through the
+// sequential replay.
+#include "p4lru/systems/lrutable/lrutable_target.hpp"
 
 #include <gtest/gtest.h>
 
@@ -11,7 +14,7 @@ namespace p4lru::systems::lrutable {
 namespace {
 
 using testutil::make_flow;
-using Policy = LruTableSystem::Policy;
+using Policy = LruTableTarget::Policy;
 
 std::unique_ptr<Policy> p4lru3(std::size_t entries) {
     return std::make_unique<
@@ -33,6 +36,28 @@ PacketRecord packet(std::uint32_t flow_id, TimeNs ts) {
     return p;
 }
 
+/// The monolithic gateway: one partition owning `policy`.
+struct Gateway {
+    Gateway(std::unique_ptr<Policy> policy, LruTableConfig cfg)
+        : target(
+              1, [&policy](std::size_t) { return std::move(policy); }, cfg) {
+    }
+
+    void process(const PacketRecord& p) {
+        testutil::apply_op(target, p, stats);
+    }
+    void replay(const std::vector<PacketRecord>& trace) {
+        stats = testutil::sequential_replay(
+            target, std::span<const PacketRecord>(trace));
+    }
+    [[nodiscard]] LruTableReport report() const {
+        return target.report(stats);
+    }
+
+    LruTableTarget target;
+    LruTableStats stats{};
+};
+
 TEST(NatTable, LookupIsDeterministicAndNeverPlaceholder) {
     NatTable nat;
     for (std::uint32_t va = 1; va < 1000; ++va) {
@@ -44,24 +69,19 @@ TEST(NatTable, LookupIsDeterministicAndNeverPlaceholder) {
 }
 
 TEST(LruTableSystem, RejectsNullPolicy) {
-    EXPECT_THROW(LruTableSystem(nullptr, quick_config()),
-                 std::invalid_argument);
-}
-
-TEST(LruTableSystem, SimilarityTrackingNeedsBudget) {
-    LruTableConfig cfg = quick_config();
-    cfg.track_similarity = true;
-    EXPECT_THROW(LruTableSystem(p4lru3(30), cfg), std::invalid_argument);
+    EXPECT_THROW(Gateway(nullptr, quick_config()), std::invalid_argument);
 }
 
 TEST(LruTableSystem, FirstPacketMissesThenHitsAfterFill) {
-    LruTableSystem sys(p4lru3(300), quick_config());
+    Gateway sys(p4lru3(300), quick_config());
     sys.process(packet(1, 0));  // miss, fill scheduled at t = 10us
     // Second packet before the fill lands: placeholder hit, still slow.
     sys.process(packet(1, 5 * kMicrosecond));
-    // Third packet after the fill: fast path.
-    const TimeNs lat = sys.process(packet(1, 20 * kMicrosecond));
-    EXPECT_EQ(lat, quick_config().base_latency);
+    // Third packet after the fill: fast path, no added latency.
+    const LruTableStats before = sys.stats;
+    sys.process(packet(1, 20 * kMicrosecond));
+    EXPECT_EQ(sys.stats.fast_path, before.fast_path + 1);
+    EXPECT_EQ(sys.stats.added_latency_ns, before.added_latency_ns);
 
     const auto r = sys.report();
     EXPECT_EQ(r.packets, 3u);
@@ -72,7 +92,7 @@ TEST(LruTableSystem, FirstPacketMissesThenHitsAfterFill) {
 }
 
 TEST(LruTableSystem, PlaceholderHitDoesNotScheduleSecondFill) {
-    LruTableSystem sys(p4lru3(300), quick_config());
+    Gateway sys(p4lru3(300), quick_config());
     sys.process(packet(1, 0));
     for (int i = 1; i <= 5; ++i) {
         sys.process(packet(1, static_cast<TimeNs>(i)));  // all placeholders
@@ -85,9 +105,11 @@ TEST(LruTableSystem, PlaceholderHitDoesNotScheduleSecondFill) {
 TEST(LruTableSystem, SlowPathLatencyIsAccounted) {
     LruTableConfig cfg = quick_config();
     cfg.slow_path_delay = 100 * kMicrosecond;
-    LruTableSystem sys(p4lru3(300), cfg);
-    const TimeNs lat = sys.process(packet(1, 0));
-    EXPECT_EQ(lat, cfg.base_latency + cfg.slow_path_delay);
+    Gateway sys(p4lru3(300), cfg);
+    sys.process(packet(1, 0));
+    EXPECT_EQ(sys.stats.misses, 1u);
+    EXPECT_EQ(sys.stats.fast_path, 0u);
+    EXPECT_EQ(sys.stats.added_latency_ns, cfg.slow_path_delay);
     const auto r = sys.report();
     EXPECT_NEAR(r.avg_added_latency_us, 100.0, 1e-6);
 }
@@ -96,9 +118,10 @@ TEST(LruTableSystem, TranslationIsCorrectAfterFill) {
     auto policy = p4lru3(300);
     auto* raw = policy.get();
     NatTable nat;
-    LruTableSystem sys(std::move(policy), quick_config());
+    Gateway sys(std::move(policy), quick_config());
     sys.process(packet(7, 0));
-    sys.finish();
+    // Any later packet past dT lands the pending fill first.
+    sys.process(packet(8, 2 * quick_config().slow_path_delay));
     const VirtualAddress va = make_flow(7).dst_ip;
     EXPECT_EQ(raw->peek(va), std::optional<std::uint32_t>(nat.lookup(va)));
 }
@@ -106,7 +129,7 @@ TEST(LruTableSystem, TranslationIsCorrectAfterFill) {
 TEST(LruTableSystem, EvictedFlowMissesAgain) {
     // One P4LRU3 unit (3 entries): the fourth distinct flow evicts the
     // least recent; re-touching the evicted flow is a miss again.
-    LruTableSystem sys(p4lru3(3), quick_config());
+    Gateway sys(p4lru3(3), quick_config());
     TimeNs t = 0;
     for (std::uint32_t f = 1; f <= 4; ++f) {
         sys.process(packet(f, t));
@@ -123,9 +146,8 @@ TEST(LruTableSystem, MissRateDropsWithMoreMemory) {
     tc.segments = 16;
     const auto trace = trace::generate_trace(tc);
     const auto run = [&](std::size_t entries) {
-        LruTableSystem sys(p4lru3(entries), quick_config());
-        for (const auto& p : trace) sys.process(p);
-        sys.finish();
+        Gateway sys(p4lru3(entries), quick_config());
+        sys.replay(trace);
         return sys.report().miss_rate;
     };
     // The sweep must straddle the working set (peak concurrency is a few
@@ -146,29 +168,13 @@ TEST(LruTableSystem, LongerSlowPathRaisesMissRate) {
     const auto run = [&](TimeNs delay) {
         LruTableConfig cfg = quick_config();
         cfg.slow_path_delay = delay;
-        LruTableSystem sys(p4lru3(5'000), cfg);
-        for (const auto& p : trace) sys.process(p);
-        sys.finish();
+        Gateway sys(p4lru3(5'000), cfg);
+        sys.replay(trace);
         return sys.report().miss_rate;
     };
     // Longer control-plane latency = more placeholder hits = higher miss
     // rate (each miss blocks its flow for longer).
     EXPECT_LT(run(10 * kMicrosecond), run(10 * kMillisecond));
-}
-
-TEST(LruTableSystem, SimilarityTrackedWhenEnabled) {
-    trace::TraceConfig tc;
-    tc.total_packets = 30'000;
-    const auto trace = trace::generate_trace(tc);
-    LruTableConfig cfg = quick_config();
-    cfg.track_similarity = true;
-    cfg.similarity_max_accesses = 3 * trace.size() + 10;
-    LruTableSystem sys(p4lru3(600), cfg);
-    for (const auto& p : trace) sys.process(p);
-    sys.finish();
-    const auto r = sys.report();
-    EXPECT_GT(r.similarity, 0.3);
-    EXPECT_LE(r.similarity, 1.0);
 }
 
 TEST(LruTableSystem, P4lru3BeatsP4lru1OnMissRate) {
@@ -177,9 +183,8 @@ TEST(LruTableSystem, P4lru3BeatsP4lru1OnMissRate) {
     tc.segments = 8;
     const auto trace = trace::generate_trace(tc);
     const auto run = [&](std::unique_ptr<Policy> policy) {
-        LruTableSystem sys(std::move(policy), quick_config());
-        for (const auto& p : trace) sys.process(p);
-        sys.finish();
+        Gateway sys(std::move(policy), quick_config());
+        sys.replay(trace);
         return sys.report().miss_rate;
     };
     const double p3 = run(p4lru3(600));

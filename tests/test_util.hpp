@@ -171,6 +171,16 @@ auto sequential_replay(
     return replay::replay_target_sequential_stream(target, source).value();
 }
 
+/// Apply one op the way the sequential replay does: route, then a
+/// one-element apply_batch.  Lets a test inspect the target between ops.
+template <typename Target>
+void apply_op(Target& target, const typename Target::Op& op,
+              typename Target::Stats& stats) {
+    const typename Target::Routed r = target.route(op);
+    target.apply_batch(std::span<const typename Target::Routed>(&r, 1),
+                       stats);
+}
+
 /// resume_target_checkpointed_stream over an in-memory op sequence, with
 /// no further cuts: restore `cp` into `target`, replay the rest of `ops`.
 template <typename Target>

@@ -47,8 +47,8 @@ int cmd_describe(const std::string& path) {
     const ImageInfo& i = info.value();
     const replay::CheckpointHeader& h = i.header;
     std::printf("file:          %s\n", path.c_str());
-    std::printf("format:        P4LRUTGC (version %u%s)\n", h.version,
-                h.sealed() ? ", CRC-sealed" : ", legacy unsealed");
+    std::printf("format:        P4LRUTGC (version %u, CRC-sealed)\n",
+                h.version);
     std::printf("state id:      %u\n", h.state_id);
     std::printf("fingerprint:   0x%016llx\n",
                 static_cast<unsigned long long>(h.state_fingerprint));

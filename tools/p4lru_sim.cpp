@@ -23,11 +23,12 @@
 #include "p4lru/pipeline/p4lru3_program.hpp"
 #include "p4lru/pipeline/system_resources.hpp"
 #include "p4lru/pipeline/tower_program.hpp"
-#include "p4lru/systems/lrutable/lrutable.hpp"
+#include "p4lru/replay/replay.hpp"
+#include "p4lru/systems/lrutable/lrutable_target.hpp"
 #include "p4lru/systems/lruindex/db_server.hpp"
 #include "p4lru/systems/lruindex/driver.hpp"
 #include "p4lru/systems/lruindex/index_cache.hpp"
-#include "p4lru/systems/lrumon/lrumon.hpp"
+#include "p4lru/systems/lrumon/lrumon_target.hpp"
 #include "p4lru/trace/trace_gen.hpp"
 #include "p4lru/trace/trace_io.hpp"
 
@@ -143,6 +144,14 @@ int cmd_gen_trace(const Flags& f) {
     return 0;
 }
 
+/// Sequential replay of `trace` through a one-partition system target.
+template <typename Target>
+typename Target::Stats replay_trace(Target& target,
+                                    const std::vector<PacketRecord>& trace) {
+    replay::SpanOpSource<PacketRecord> source(trace);
+    return replay::replay_target_sequential_stream(target, source).value();
+}
+
 int cmd_lrutable(const Flags& f) {
     const auto trace = load_or_generate(f);
     systems::lrutable::LruTableConfig cfg;
@@ -152,10 +161,9 @@ int cmd_lrutable(const Flags& f) {
                     core::ReplaceMerge>(f.str("policy", "p4lru3"),
                                         f.num("entries", 12'288), f);
     const std::string name = policy->name();
-    systems::lrutable::LruTableSystem sys(std::move(policy), cfg);
-    for (const auto& p : trace) sys.process(p);
-    sys.finish();
-    const auto r = sys.report();
+    systems::lrutable::LruTableTarget sys(
+        1, [&policy](std::size_t) { return std::move(policy); }, cfg);
+    const auto r = sys.report(replay_trace(sys, trace));
     std::printf("policy %-9s packets %lu fast %lu placeholder %lu miss %lu\n"
                 "miss rate %.3f%%  avg added latency %.3f us\n",
                 name.c_str(), r.packets, r.fast_path, r.placeholder_hits,
@@ -180,11 +188,11 @@ int cmd_lrumon(const Flags& f) {
                               core::AddMerge>(f.str("policy", "p4lru3"),
                                               f.num("entries", 768), f);
     const std::string name = policy->name();
-    systems::lrumon::LruMonSystem sys(
-        systems::lrumon::make_filter(kind, fcfg), std::move(policy), cfg);
-    for (const auto& p : trace) sys.process(p);
-    sys.finish();
-    const auto r = sys.report();
+    systems::lrumon::LruMonTarget sys(
+        1,
+        [&](std::size_t) { return systems::lrumon::make_filter(kind, fcfg); },
+        [&policy](std::size_t) { return std::move(policy); }, cfg);
+    const auto r = sys.report(replay_trace(sys, trace));
     std::printf(
         "policy %-9s filter %-5s  elephants %lu (miss %.2f%%)  uploads %lu "
         "(%.1f KPPS)\n"
