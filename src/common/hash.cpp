@@ -5,6 +5,12 @@
 #include <cstring>
 #include <sstream>
 
+#if !defined(P4LRU_FORCE_SCALAR) && defined(__x86_64__) && \
+    (defined(__GNUC__) || defined(__clang__))
+#define P4LRU_CRC_FOLD 1
+#include <immintrin.h>
+#endif
+
 namespace p4lru::hash {
 namespace {
 
@@ -71,14 +77,9 @@ std::uint64_t xx_merge(std::uint64_t acc, std::uint64_t val) noexcept {
     return acc * kXxPrime1 + kXxPrime4;
 }
 
-}  // namespace
-
-std::uint32_t crc32(std::span<const std::uint8_t> data,
-                    std::uint32_t seed) noexcept {
-    std::uint32_t crc = ~seed;
-    const std::uint8_t* p = data.data();
-    std::size_t n = data.size();
-
+/// The table CRC over [p, p + n), on the running (pre-inverted) register.
+inline std::uint32_t crc32_tables(std::uint32_t crc, const std::uint8_t* p,
+                                  std::size_t n) noexcept {
     if constexpr (std::endian::native == std::endian::little) {
         // Slice-by-8 main loop, then a slice-by-4 step: a 13-byte FlowKey
         // costs one 8-byte fold, one 4-byte fold and one tail byte instead
@@ -110,7 +111,118 @@ std::uint32_t crc32(std::span<const std::uint8_t> data,
     for (; n != 0; ++p, --n) {
         crc = kCrcTable[(crc ^ *p) & 0xFFu] ^ (crc >> 8);
     }
-    return ~crc;
+    return crc;
+}
+
+#if defined(P4LRU_CRC_FOLD)
+
+/// Inputs shorter than this never reach the folded path: the 4-, 8- and
+/// 13-byte hash keys pay one length compare and nothing else.
+constexpr std::size_t kFoldMinBytes = 64;
+
+/// Whether the CPU has carry-less multiply, probed once (like the scan
+/// kernel dispatch in core/simd/dispatch.cpp).
+bool fold_available() noexcept {
+    static const bool ok = [] {
+        __builtin_cpu_init();
+        return __builtin_cpu_supports("pclmul") != 0;
+    }();
+    return ok;
+}
+
+__attribute__((target("pclmul,sse2"))) inline __m128i load128(
+    const std::uint8_t* p) noexcept {
+    return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+}
+
+/// x·k ⊕ y: both 64-bit halves of x carried forward by the fold constants
+/// in k, then the next block added.
+__attribute__((target("pclmul,sse2"))) inline __m128i fold128(
+    __m128i x, __m128i k, __m128i y) noexcept {
+    return _mm_xor_si128(_mm_xor_si128(_mm_clmulepi64_si128(x, k, 0x00),
+                                       _mm_clmulepi64_si128(x, k, 0x11)),
+                         y);
+}
+
+/// CRC32 folding with PCLMULQDQ (Gopal et al., "Fast CRC Computation for
+/// Generic Polynomials Using PCLMULQDQ Instruction", Intel 2009), in the
+/// bit-reflected domain of polynomial 0xEDB88320 — the same function as
+/// the table loop, four 16-byte lanes at a time.  `crc` is the running
+/// (pre-inverted) register; `n` is at least 64 and a multiple of 16.  The
+/// constants are x^k mod P for the fold distances (512±32, 128±32, 64) and
+/// the Barrett pair (P, floor(x^64 / P)), all bit-reflected.
+__attribute__((target("pclmul,sse2"))) std::uint32_t crc32_fold(
+    const std::uint8_t* p, std::size_t n, std::uint32_t crc) noexcept {
+    const __m128i k1k2 = _mm_set_epi64x(0x01c6e41596, 0x0154442bd4);
+    const __m128i k3k4 = _mm_set_epi64x(0x00ccaa009e, 0x01751997d0);
+    const __m128i k5 = _mm_set_epi64x(0, 0x0163cd6124);
+    const __m128i poly = _mm_set_epi64x(0x01f7011641, 0x01db710641);
+    const __m128i low32 = _mm_setr_epi32(~0, 0, ~0, 0);
+
+    __m128i x1 = _mm_xor_si128(load128(p),
+                               _mm_cvtsi32_si128(static_cast<int>(crc)));
+    __m128i x2 = load128(p + 16);
+    __m128i x3 = load128(p + 32);
+    __m128i x4 = load128(p + 48);
+    p += 64;
+    n -= 64;
+    for (; n >= 64; p += 64, n -= 64) {
+        x1 = fold128(x1, k1k2, load128(p));
+        x2 = fold128(x2, k1k2, load128(p + 16));
+        x3 = fold128(x3, k1k2, load128(p + 32));
+        x4 = fold128(x4, k1k2, load128(p + 48));
+    }
+    // Four lanes into one, then any 16-byte blocks left.
+    x1 = fold128(x1, k3k4, x2);
+    x1 = fold128(x1, k3k4, x3);
+    x1 = fold128(x1, k3k4, x4);
+    for (; n >= 16; p += 16, n -= 16) x1 = fold128(x1, k3k4, load128(p));
+
+    // 128 → 64 bits.
+    x1 = _mm_xor_si128(_mm_srli_si128(x1, 8),
+                       _mm_clmulepi64_si128(x1, k3k4, 0x10));
+    x1 = _mm_xor_si128(
+        _mm_clmulepi64_si128(_mm_and_si128(x1, low32), k5, 0x00),
+        _mm_srli_si128(x1, 4));
+    // Barrett reduction 64 → 32 bits.
+    __m128i t = _mm_clmulepi64_si128(_mm_and_si128(x1, low32), poly, 0x10);
+    t = _mm_clmulepi64_si128(_mm_and_si128(t, low32), poly, 0x00);
+    x1 = _mm_xor_si128(x1, t);
+    return static_cast<std::uint32_t>(
+        _mm_cvtsi128_si32(_mm_srli_si128(x1, 4)));
+}
+
+/// crc32 of an input of kFoldMinBytes or more: whole 16-byte blocks
+/// through the fold when the CPU has it, the remainder through the tables.
+/// Kept out of line (crc32 tail-calls it) so that the short-key path does
+/// not carry this path's frame.
+[[gnu::noinline]] std::uint32_t crc32_long(std::uint32_t seed,
+                                           const std::uint8_t* p,
+                                           std::size_t n) noexcept {
+    std::uint32_t crc = ~seed;
+    if (fold_available()) {
+        const std::size_t folded = n & ~std::size_t{15};
+        crc = crc32_fold(p, folded, crc);
+        p += folded;
+        n -= folded;
+    }
+    return ~crc32_tables(crc, p, n);
+}
+
+#endif  // P4LRU_CRC_FOLD
+
+}  // namespace
+
+std::uint32_t crc32(std::span<const std::uint8_t> data,
+                    std::uint32_t seed) noexcept {
+#if defined(P4LRU_CRC_FOLD)
+    // Length first: short keys never load the CPU-probe guard, and their
+    // path stays the frameless table loop (the long path is out of line).
+    if (data.size() >= kFoldMinBytes) {
+        return crc32_long(seed, data.data(), data.size());
+    }
+#endif
+    return ~crc32_tables(~seed, data.data(), data.size());
 }
 
 std::uint32_t murmur3_32(std::span<const std::uint8_t> data,

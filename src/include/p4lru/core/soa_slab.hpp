@@ -375,15 +375,22 @@ class SoaSlab {
     /// Snapshot the three planes (keys, values, meta, concatenated in that
     /// order) as raw bytes.  With the op cursor this is a complete resume
     /// point: restoring and replaying the remaining ops is bit-identical to
-    /// an uninterrupted run (replay/target_checkpoint.hpp).
+    /// an uninterrupted run (replay/target_checkpoint.hpp).  `out` is
+    /// replaced; the planes are appended to it with insert, so the image is
+    /// written once rather than zero-filled first and then overwritten.
     void save_planes(std::vector<std::byte>& out) const {
         const std::size_t kb = units_ * kKeyStride * sizeof(Key);
         const std::size_t vb = units_ * N * sizeof(Value);
         const std::size_t mb = units_ * sizeof(MetaWord);
-        out.resize(kb + vb + mb);
-        std::memcpy(out.data(), keys_.get(), kb);
-        std::memcpy(out.data() + kb, vals_.get(), vb);
-        std::memcpy(out.data() + kb + vb, meta_.get(), mb);
+        const auto append = [&out](const void* plane, std::size_t bytes) {
+            const auto* b = static_cast<const std::byte*>(plane);
+            out.insert(out.end(), b, b + bytes);
+        };
+        out.clear();
+        out.reserve(kb + vb + mb);
+        append(keys_.get(), kb);
+        append(vals_.get(), vb);
+        append(meta_.get(), mb);
     }
 
     /// Restore planes saved by save_planes on a slab of the same geometry;

@@ -8,11 +8,12 @@
 // parallel across unit ranges: a dispatcher routes each operation to the
 // shard owning its bucket (ShardPlan carves [0, units) into contiguous
 // ranges), batches of ~256 routed ops flow through one SPSC queue per
-// shard, and each worker prefetches the next batch's unit cache lines
-// before draining the previous batch. Because every unit is touched by
-// exactly one shard and each shard processes its ops in arrival order, the
-// final target state and the merged statistics are bit-identical to
-// sequential replay.
+// shard (the batch buffers circulate through the rings rather than being
+// allocated per push), and each worker prefetches the next batch's unit
+// cache lines before draining the previous batch. Because every unit is
+// touched by exactly one shard and each shard processes its ops in arrival
+// order, the final target state and the merged statistics are
+// bit-identical to sequential replay.
 //
 // On machines without spare hardware threads (or with ShardedConfig::mode =
 // kInline) the same dispatch loop runs with zero workers: one
@@ -182,7 +183,7 @@ class SpanOpSource {
 };
 
 enum class Mode {
-    kAuto,      ///< threaded when >1 hardware thread, else inline
+    kAuto,      ///< threaded when >1 CPU in the affinity mask, else inline
     kThreaded,  ///< always spawn workers (tests, tsan)
     kInline     ///< always run on the calling thread
 };
@@ -578,7 +579,9 @@ replay_sharded_stream_impl(Target& target, Source& source,
             ++popped;
             target.prefetch_batch(std::span<const Routed>(next));
             finish_pending();
-            pending = std::move(next);
+            // Swap, not move: the applied buffer goes back into the ring
+            // on the next pop, and from there to the dispatcher's next push.
+            std::swap(pending, next);
             have_pending = true;
         };
         const auto publish = [&] {
@@ -719,7 +722,9 @@ replay_sharded_stream_impl(Target& target, Source& source,
 
     // Hand slot s's full (or final partial) batch on: push it to the worker
     // through the ladder, or — for a dispatcher-owned slot — apply it here.
-    // Delivered batches are the checkpoint cadence unit.
+    // A successful push swaps in the buffer the worker last handed back, so
+    // the slot refills without allocating.  Delivered batches are the
+    // checkpoint cadence unit.
     std::uint64_t delivered = 0;
     std::uint64_t until_scrub = scrub_every;
     const auto deliver = [&](std::size_t s) {
@@ -759,6 +764,8 @@ replay_sharded_stream_impl(Target& target, Source& source,
             }
         }
         b.clear();
+        // The first lap round a ring hands back never-used, empty buffers.
+        if (b.capacity() < batch_ops) b.reserve(batch_ops);
     };
 
     // Consistent cut at the op prefix [0, cursor); returns whether the sink

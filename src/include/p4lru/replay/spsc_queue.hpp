@@ -24,6 +24,17 @@
 // the producer so it can detect a dead consumer (watchdog, replay.hpp)
 // rather than wedging forever.
 //
+// Buffer recycling: try_push and try_pop *swap* the caller's element with
+// the ring slot instead of move-assigning it.  A successful push therefore
+// hands back whatever the consumer last left in that slot, and try_pop
+// leaves the consumer's own `out` behind in the slot it emptied — so `out`
+// is read, not just written, and must hold a valid (possibly empty) T.
+// With a std::vector payload the same buffers circulate producer →
+// consumer → producer: once every slot has carried a batch, no batch
+// buffer is allocated or freed in steady state (DESIGN.md §8).  push(T)
+// consumes its argument and keeps the move-assign; the dropped slot
+// contents are destroyed on the producer thread.
+//
 // Consumer handoff: the consumer role may be transferred to another thread
 // only through a release/acquire edge after the original consumer has
 // stopped popping forever (the replay engine's parked-worker protocol); the
@@ -87,13 +98,16 @@ class SpscQueue {
     }
 
     /// Producer only. Returns false instead of blocking when full; v is left
-    /// intact on failure.
+    /// intact on failure.  On success v is swapped with the slot, so it
+    /// comes back holding the element the consumer last returned there (a
+    /// default-constructed T the first time round the ring).
     bool try_push(T& v) {
         const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
         if (tail - head_.load(std::memory_order_acquire) >= buf_.size()) {
             return false;
         }
-        buf_[tail & mask_] = std::move(v);
+        using std::swap;
+        swap(buf_[tail & mask_], v);
         tail_.store(tail + 1, std::memory_order_release);
         return true;
     }
@@ -118,11 +132,15 @@ class SpscQueue {
         return try_push(v);
     }
 
-    /// Consumer only. Non-blocking; false when currently empty.
+    /// Consumer only. Non-blocking; false (out untouched) when currently
+    /// empty.  On success out is swapped with the slot: it receives the
+    /// element and its previous value stays in the ring for the producer's
+    /// next try_push to take back.
     bool try_pop(T& out) {
         const std::uint64_t head = head_.load(std::memory_order_relaxed);
         if (head == tail_.load(std::memory_order_acquire)) return false;
-        out = std::move(buf_[head & mask_]);
+        using std::swap;
+        swap(buf_[head & mask_], out);
         head_.store(head + 1, std::memory_order_release);
         return true;
     }

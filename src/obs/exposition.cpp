@@ -43,7 +43,7 @@ std::string prometheus_name(std::string_view name) {
             out[i] = '_';
         }
     }
-    if (out.empty()) out = "_";
+    if (out.empty()) out.push_back('_');
     return out;
 }
 
@@ -83,19 +83,19 @@ std::string to_json_line(const Snapshot& snap) {
     bool first = true;
     for (const auto& [name, v] : snap.counters) {
         if (!std::exchange(first, false)) out += ",";
-        out += "\"" + json_escape(name) + "\":" + std::to_string(v);
+        out += '"' + json_escape(name) + "\":" + std::to_string(v);
     }
     out += "},\"gauges\":{";
     first = true;
     for (const auto& [name, v] : snap.gauges) {
         if (!std::exchange(first, false)) out += ",";
-        out += "\"" + json_escape(name) + "\":" + std::to_string(v);
+        out += '"' + json_escape(name) + "\":" + std::to_string(v);
     }
     out += "},\"histograms\":{";
     first = true;
     for (const auto& [name, h] : snap.histograms) {
         if (!std::exchange(first, false)) out += ",";
-        out += "\"" + json_escape(name) +
+        out += '"' + json_escape(name) +
                "\":{\"count\":" + std::to_string(h.count) +
                ",\"sum\":" + std::to_string(h.sum) + ",\"buckets\":[";
         // Trailing zero buckets are trimmed (most histograms occupy a

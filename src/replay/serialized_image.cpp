@@ -156,7 +156,9 @@ SerializedCheckpoint seal_checkpoint_image(
     buf.reserve(kCheckpointHeaderBytes + records.size() + state.size() +
                 kCheckpointSealBytes);
     io::ByteWriter w(buf);
-    w.bytes(kMagic, sizeof(kMagic));
+    // Byte by byte: a range insert into the freshly reserved buffer trips a
+    // false -Wstringop-overflow in GCC 12's vector code.
+    for (const char c : kMagic) w.u8(static_cast<std::uint8_t>(c));
     w.u32(header.version);
     w.u32(header.state_id);
     w.u64(header.state_fingerprint);

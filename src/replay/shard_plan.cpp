@@ -4,7 +4,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <stdexcept>
-#include <thread>
+
+#include "p4lru/replay/affinity.hpp"
 
 namespace p4lru::replay {
 
@@ -32,11 +33,13 @@ std::size_t default_shards() {
         const long v = std::atol(s);
         if (v > 0) return static_cast<std::size_t>(v);
     }
-    const unsigned hw = std::thread::hardware_concurrency();
-    if (hw <= 1) return 1;
-    // Leave one hardware thread for the dispatcher; cap at 8 — shards beyond
-    // that saturate the single dispatcher's hash-and-route throughput.
-    return std::clamp<std::size_t>(hw - 1, 1, 8);
+    // CPUs this process may run on, not the machine's: under taskset or a
+    // cgroup cpuset the extra workers would only time-slice one core.
+    const std::size_t cpus = pinnable_cpus();
+    if (cpus <= 1) return 1;
+    // Leave one CPU for the dispatcher; cap at 8 — shards beyond that
+    // saturate the single dispatcher's hash-and-route throughput.
+    return std::clamp<std::size_t>(cpus - 1, 1, 8);
 }
 
 bool threads_profitable() {
@@ -44,7 +47,7 @@ bool threads_profitable() {
         if (std::strcmp(s, "threaded") == 0) return true;
         if (std::strcmp(s, "inline") == 0) return false;
     }
-    return std::thread::hardware_concurrency() > 1;
+    return pinnable_cpus() > 1;
 }
 
 }  // namespace p4lru::replay

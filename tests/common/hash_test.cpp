@@ -5,6 +5,7 @@
 #include <array>
 #include <set>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace p4lru::hash {
@@ -30,6 +31,69 @@ TEST(Crc32, SeedChangesDigest) {
     const auto data = bytes("p4lru");
     EXPECT_NE(crc32(data, 0), crc32(data, 1));
     EXPECT_EQ(crc32(data, 7), crc32(data, 7));
+}
+
+/// Independent oracle: the textbook bit-at-a-time CRC32 (reflected
+/// polynomial 0xEDB88320), sharing no table, fold or code with hash.cpp.
+/// Works on the raw register so a prefix's state extends byte by byte.
+std::uint32_t bitwise_crc_step(std::uint32_t reg, std::uint8_t byte) {
+    reg ^= byte;
+    for (int bit = 0; bit < 8; ++bit) {
+        reg = (reg & 1u) != 0 ? (reg >> 1) ^ 0xEDB88320u : reg >> 1;
+    }
+    return reg;
+}
+
+std::uint32_t bitwise_crc(const std::uint8_t* p, std::size_t n,
+                          std::uint32_t seed) {
+    std::uint32_t reg = ~seed;
+    for (std::size_t i = 0; i < n; ++i) reg = bitwise_crc_step(reg, p[i]);
+    return ~reg;
+}
+
+std::vector<std::uint8_t> random_bytes(std::size_t n, std::uint64_t seed) {
+    std::vector<std::uint8_t> v(n);
+    std::uint64_t x = seed;
+    for (auto& b : v) {
+        x = mix64(x);
+        b = static_cast<std::uint8_t>(x >> 56);
+    }
+    return v;
+}
+
+// Every length 0..1100 at every 16-byte alignment, under the seeds that
+// stress the register (0, 1, all-ones, one arbitrary): covers the table
+// tail, the 64-byte threshold of the folded path and every remainder it
+// leaves to the tables.
+TEST(Crc32, MatchesBitwiseOracleAtEveryLengthAndOffset) {
+    constexpr std::size_t kMaxLen = 1100;
+    const auto buf = random_bytes(kMaxLen + 16, 0xC5C5);
+    for (const std::uint32_t seed : {0u, 1u, 0xFFFFFFFFu, 0x5EED1234u}) {
+        for (std::size_t off = 0; off < 16; ++off) {
+            const std::uint8_t* p = buf.data() + off;
+            std::uint32_t reg = ~seed;  // oracle state after `len` bytes
+            for (std::size_t len = 0; len <= kMaxLen; ++len) {
+                ASSERT_EQ(crc32({p, len}, seed), ~reg)
+                    << "len " << len << " offset " << off << " seed "
+                    << seed;
+                if (len < kMaxLen) reg = bitwise_crc_step(reg, p[len]);
+            }
+        }
+    }
+}
+
+// Checkpoint-sized inputs: a few MiB, odd lengths and misaligned starts.
+TEST(Crc32, MatchesBitwiseOracleOnMiBBuffers) {
+    const auto buf = random_bytes((3u << 20) + 64, 0xB16);
+    const std::pair<std::size_t, std::size_t> cases[] = {
+        {0, 1u << 20}, {7, (2u << 20) + 13}, {3, 3u << 20}, {16, 999'999}};
+    for (const auto& [off, len] : cases) {
+        for (const std::uint32_t seed : {0u, 0xFFFFFFFFu}) {
+            EXPECT_EQ(crc32({buf.data() + off, len}, seed),
+                      bitwise_crc(buf.data() + off, len, seed))
+                << "len " << len << " offset " << off;
+        }
+    }
 }
 
 TEST(Murmur3, ReferenceVectors) {

@@ -249,6 +249,33 @@ TEST(Replay, ShardCountClampsToUnits) {
               testutil::reference_replay(seq_cache, ops));
 }
 
+/// Batch buffers circulate through the rings (a push hands back the buffer
+/// the worker last returned).  The smallest ring — two slots, so every
+/// buffer is reused on every other push — with 1-op, odd-sized and full
+/// batches must still land on the reference state exactly.
+class RingRecycling : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(RingRecycling, TwoSlotRingMatchesReference) {
+    const auto ops = zipf_ops();
+    FlowCache ref_cache(2048, 0x2B);
+    const auto ref = testutil::reference_replay(ref_cache, ops);
+
+    FlowCache cache(2048, 0x2B);
+    ShardedConfig cfg;
+    cfg.shards = 3;
+    cfg.batch_ops = GetParam();
+    cfg.queue_batches = 2;
+    cfg.mode = Mode::kThreaded;
+    const auto rep =
+        testutil::sharded_replay(CacheReplayTarget(cache), ops, cfg);
+    EXPECT_TRUE(rep.threaded);
+    EXPECT_EQ(rep.stats, ref);
+    expect_same_contents(ref_cache, cache);
+}
+
+INSTANTIATE_TEST_SUITE_P(BatchOps, RingRecycling,
+                         ::testing::Values(1, 3, 256));
+
 /// Concurrency sanity: hammer the threaded engine with more workers than
 /// cores and tiny batches (maximal queue churn). Under -fsanitize=thread
 /// (P4LRU_SANITIZE=thread) this is the race detector's target.

@@ -2,8 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <stdexcept>
 #include <vector>
+
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
+#include "p4lru/replay/affinity.hpp"
 
 namespace p4lru::replay {
 namespace {
@@ -50,6 +57,33 @@ TEST(ShardPlan, OwnerMatchesRange) {
 TEST(ShardPlan, DefaultShardsIsPositive) {
     EXPECT_GE(default_shards(), 1u);
 }
+
+#if defined(__linux__)
+// The auto-mode decisions count the CPUs this process may run on, not the
+// machine's: pinned to one CPU (as under `taskset -c 0`), replay must pick
+// one shard and the inline path however many cores the host has.
+TEST(ShardPlan, AutoModeFollowsTheAffinityMask) {
+    if (std::getenv("P4LRU_REPLAY_SHARDS") != nullptr ||
+        std::getenv("P4LRU_REPLAY_MODE") != nullptr) {
+        GTEST_SKIP() << "replay overrides set in the environment";
+    }
+    cpu_set_t saved;
+    ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+    int first = 0;
+    while (!CPU_ISSET(first, &saved)) ++first;
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(first, &one);
+    ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+    const std::size_t cpus = pinnable_cpus();
+    const std::size_t shards = default_shards();
+    const bool threaded = threads_profitable();
+    ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+    EXPECT_EQ(cpus, 1u);
+    EXPECT_EQ(shards, 1u);
+    EXPECT_FALSE(threaded);
+}
+#endif
 
 TEST(ShardPlan, TryMakeReportsZeroUnitsAsTypedError) {
     const auto bad = ShardPlan::try_make(0, 4);

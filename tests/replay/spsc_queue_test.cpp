@@ -47,7 +47,7 @@ TEST(SpscQueue, TransfersEverythingAcrossThreads) {
     std::uint64_t sum = 0;
     std::uint64_t received = 0;
     std::thread consumer([&] {
-        std::uint64_t v;
+        std::uint64_t v = 0;
         while (q.pop(v)) {
             sum += v;
             ++received;
@@ -129,7 +129,7 @@ TEST(SpscQueue, TryPushForRecoversWhenConsumerResumes) {
     ASSERT_TRUE(q.try_push(b));
     std::thread consumer([&q] {
         std::this_thread::sleep_for(std::chrono::milliseconds(5));
-        int v;
+        int v = 0;
         ASSERT_TRUE(q.try_pop(v));
     });
     // Generous deadline: the pop lands well inside it.
@@ -151,6 +151,66 @@ TEST(SpscQueue, MoveOnlyPayload) {
     ASSERT_TRUE(q.try_pop(out));
     ASSERT_EQ(out.size(), 100u);
     EXPECT_EQ(out[99], 99);
+}
+
+/// The recycling contract: try_pop leaves the consumer's old element in
+/// the slot it emptied, and the producer's next successful push into that
+/// slot hands it back.
+TEST(SpscQueue, SuccessfulPushReturnsTheSlotsPreviousElement) {
+    SpscQueue<int> q(2);
+    int a = 1;
+    int b = 2;
+    ASSERT_TRUE(q.try_push(a));
+    ASSERT_TRUE(q.try_push(b));
+    EXPECT_EQ(a, 0) << "first lap: the slots held default-constructed ints";
+    EXPECT_EQ(b, 0);
+    int out = 10;  // what the consumer hands back through slot 0
+    ASSERT_TRUE(q.try_pop(out));
+    EXPECT_EQ(out, 1);
+    out = 11;  // ... and through slot 1
+    ASSERT_TRUE(q.try_pop(out));
+    EXPECT_EQ(out, 2);
+    int c = 3;
+    ASSERT_TRUE(q.try_push(c));
+    EXPECT_EQ(c, 10) << "slot 0 returns what its last pop left there";
+    int d = 4;
+    ASSERT_TRUE(q.try_push(d));
+    EXPECT_EQ(d, 11) << "slot 1 returns what its last pop left there";
+    ASSERT_TRUE(q.try_pop(out));
+    EXPECT_EQ(out, 3) << "FIFO is unchanged by the swaps";
+}
+
+/// One lap of a vector payload round the ring and back, the way the replay
+/// engine drives it: the consumer pops into the buffer it has just
+/// applied, and the producer's push into that slot receives the very same
+/// buffer (same data pointer, capacity intact), so refilling it allocates
+/// nothing.
+TEST(SpscQueue, VectorBufferComesBackWithCapacityAfterOneLap) {
+    SpscQueue<std::vector<int>> q(2);
+    std::vector<int> batch;
+    batch.reserve(256);
+    batch.assign(200, 7);
+    const int* const buffer = batch.data();
+    ASSERT_TRUE(q.try_push(batch));  // slot 0
+    EXPECT_EQ(batch.capacity(), 0u) << "first lap hands back an empty slot";
+
+    std::vector<int> applied;
+    ASSERT_TRUE(q.try_pop(applied));  // slot 0 keeps the empty `applied`
+    ASSERT_EQ(applied.size(), 200u);
+    EXPECT_EQ(applied.data(), buffer) << "the pop must not copy the batch";
+
+    std::vector<int> second(3, 1);
+    ASSERT_TRUE(q.try_push(second));  // slot 1
+    ASSERT_TRUE(q.try_pop(applied));  // slot 1 now holds the 200-op buffer
+    EXPECT_EQ(applied, std::vector<int>(3, 1));
+
+    std::vector<int> refill;
+    ASSERT_TRUE(q.try_push(refill));  // slot 0: the empty vector from above
+    EXPECT_TRUE(refill.empty());
+    std::vector<int> recycled;
+    ASSERT_TRUE(q.try_push(recycled));  // slot 1: the consumer's buffer
+    EXPECT_EQ(recycled.data(), buffer);
+    EXPECT_GE(recycled.capacity(), 256u) << "capacity survives the lap";
 }
 
 }  // namespace
