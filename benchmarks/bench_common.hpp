@@ -24,7 +24,6 @@
 #include "p4lru/common/stats.hpp"
 #include "p4lru/common/table.hpp"
 #include "p4lru/common/types.hpp"
-#include "p4lru/core/simd/scan_kernels.hpp"
 #include "p4lru/replay/affinity.hpp"
 #include "p4lru/replay/replay.hpp"
 #include "p4lru/trace/trace_gen.hpp"
@@ -33,9 +32,8 @@ namespace p4lru::bench {
 
 /// Escape a string for embedding inside a JSON string literal.  The bench
 /// writers emit JSON via raw fprintf, so every %s-substituted field must go
-/// through here — a kernel name or series label containing `"` or `\` (or a
-/// control byte from a corrupted env var) would otherwise produce a file no
-/// JSON parser accepts.
+/// through here — a series label containing `"`, `\` or a control byte
+/// would otherwise produce a file no JSON parser accepts.
 inline std::string json_escape(const std::string& in) {
     std::string out;
     out.reserve(in.size());
@@ -135,8 +133,8 @@ inline std::string pct(double v) { return ConsoleTable::num(v * 100.0, 2); }
 
 // ---------------------------------------------------------------------------
 // Timing harness: every figure bench reports wall time and Mops/s per series
-// so the perf trajectory is visible run over run, and bench_micro_ops emits
-// the same numbers machine-readably (BENCH_micro_ops.json).
+// so the cost of each figure stays visible.  Replay throughput is measured by
+// perfbench (interleaved medians with their spread), not here.
 
 /// Monotonic wall-clock stopwatch.
 class StopWatch {
@@ -188,6 +186,15 @@ struct SeriesResult {
     double seconds = 0.0;
 };
 
+/// The number of hardware threads the process can actually use — the
+/// affinity-mask-aware count, not hardware_concurrency() (which ignores
+/// taskset/cgroup masks and may return 0).  It sizes run_series' pool, and
+/// series interpretation depends on it: an N-worker "threaded" row on a
+/// 1-CPU machine measures scheduling overhead, not parallel speedup.
+inline std::size_t usable_hardware_threads() {
+    return replay::pinnable_cpus();
+}
+
 /// Evaluate all jobs, concurrently when the machine has spare cores (each
 /// job owns its policy/system instance and fixed seeds, so results are
 /// deterministic and land at the job's index). Single-core machines run
@@ -195,9 +202,8 @@ struct SeriesResult {
 inline std::vector<SeriesResult> run_series(
     const std::vector<SeriesJob>& jobs, TimingReport* report = nullptr) {
     std::vector<SeriesResult> results(jobs.size());
-    const std::size_t hw = std::thread::hardware_concurrency();
     const std::size_t workers =
-        std::min<std::size_t>(jobs.size(), hw > 1 ? hw : 1);
+        std::min(jobs.size(), usable_hardware_threads());
     if (workers <= 1) {
         for (std::size_t i = 0; i < jobs.size(); ++i) {
             StopWatch w;
@@ -357,84 +363,6 @@ typename Target::Stats sequential_stats(
 
 // ---------------------------------------------------------------------------
 // Machine-readable benchmark output (BENCH_*.json).
-
-/// One replay-throughput series of bench_micro_ops.  Schema 3 tags each
-/// series with the unit-storage layout (AoS-vs-SoA speedup tracked run over
-/// run), the scan kernel that executed it, and the update path (per-op vs
-/// batched).
-struct ReplayJsonSeries {
-    std::string name;        ///< "sequential" / "sharded" / "kernel" / ...
-    std::string layout;      ///< "aos" / "soa" (UnitStorage::layout_name())
-    std::size_t workers = 0; ///< shard count (0 for sequential)
-    std::string mode;        ///< "sequential" / "threaded" / "inline" / ...
-    std::string kernel;      ///< scan kernel active for the series
-    std::string path;        ///< "per_op" / "batched"
-    double wall_s = 0.0;
-    double mops = 0.0;
-    std::uint64_t ops = 0;
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t evictions = 0;
-};
-
-/// The number of hardware threads the process can actually use — the
-/// affinity-mask-aware count, not hardware_concurrency() (which ignores
-/// taskset/cgroup masks and may return 0).  Series interpretation depends
-/// on it: an N-worker "threaded" row on a 1-CPU machine measures scheduling
-/// overhead, not parallel speedup.
-inline std::size_t usable_hardware_threads() {
-    return replay::pinnable_cpus();
-}
-
-/// Emit the throughput baseline consumed by later PRs' perf tracking.
-/// Schema 3: top-level scan-kernel identity (dispatched kernel + CPU
-/// features) and per-series kernel/path tags.
-inline bool write_replay_json(const std::string& path, std::size_t packets,
-                              std::size_t units, double scale_value,
-                              const std::vector<ReplayJsonSeries>& series) {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (!f) return false;
-    const core::simd::CpuFeatures feat = core::simd::cpu_features();
-    std::fprintf(f,
-                 "{\n"
-                 "  \"bench\": \"micro_ops_replay\",\n"
-                 "  \"schema\": 3,\n"
-                 "  \"scale\": %.3f,\n"
-                 "  \"packets\": %zu,\n"
-                 "  \"units\": %zu,\n"
-                 "  \"hardware_threads\": %zu,\n"
-                 "  \"kernel\": \"%s\",\n"
-                 "  \"cpu_features\": {\"sse2\": %s, \"avx2\": %s, "
-                 "\"neon\": %s},\n"
-                 "  \"series\": [\n",
-                 scale_value, packets, units, usable_hardware_threads(),
-                 json_escape(core::simd::kernel_name(
-                                 core::simd::dispatched_kernel()))
-                     .c_str(),
-                 feat.sse2 ? "true" : "false", feat.avx2 ? "true" : "false",
-                 feat.neon ? "true" : "false");
-    for (std::size_t i = 0; i < series.size(); ++i) {
-        const auto& s = series[i];
-        std::fprintf(
-            f,
-            "    {\"name\": \"%s\", \"layout\": \"%s\", \"workers\": %zu, "
-            "\"mode\": \"%s\", \"kernel\": \"%s\", \"path\": \"%s\", "
-            "\"wall_s\": %.6f, \"mops\": %.3f, \"ops\": %llu, "
-            "\"hits\": %llu, \"misses\": %llu, \"evictions\": %llu}%s\n",
-            json_escape(s.name).c_str(), json_escape(s.layout).c_str(),
-            s.workers, json_escape(s.mode).c_str(),
-            json_escape(s.kernel).c_str(), json_escape(s.path).c_str(),
-            s.wall_s, s.mops,
-            static_cast<unsigned long long>(s.ops),
-            static_cast<unsigned long long>(s.hits),
-            static_cast<unsigned long long>(s.misses),
-            static_cast<unsigned long long>(s.evictions),
-            i + 1 < series.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    return true;
-}
 
 /// One engine-mode row of a system testbed bench (BENCH_fig*.json): a
 /// figure series replayed under one engine mode, with the series' headline

@@ -1,10 +1,8 @@
 // Runtime CPU-feature dispatch for the SoaSlab scan kernels: one cpuid
-// probe, environment overrides, and the rebind registry that lets tests and
-// benchmarks switch every live ScanDispatch instantiation in-process.
+// probe and the rebind registry that lets tests and benchmarks switch every
+// live ScanDispatch instantiation in-process.
 #include "p4lru/core/simd/scan_kernels.hpp"
 
-#include <cstdlib>
-#include <cstring>
 #include <mutex>
 #include <vector>
 
@@ -55,18 +53,7 @@ bool kernel_available(ScanKernel k) noexcept {
 namespace {
 
 ScanKernel resolve_dispatched() noexcept {
-    if (const char* s = std::getenv("P4LRU_FORCE_SCALAR");
-        s && s[0] != '\0' && s[0] != '0') {
-        return ScanKernel::kScalar;
-    }
     const CpuFeatures f = cpu_features();
-    if (const char* s = std::getenv("P4LRU_SCAN_KERNEL")) {
-        if (std::strcmp(s, "scalar") == 0) return ScanKernel::kScalar;
-        if (std::strcmp(s, "sse2") == 0 && f.sse2) return ScanKernel::kSse2;
-        if (std::strcmp(s, "avx2") == 0 && f.avx2) return ScanKernel::kAvx2;
-        if (std::strcmp(s, "neon") == 0 && f.neon) return ScanKernel::kNeon;
-        // Unknown or unavailable name: fall through to the probe ladder.
-    }
     if (f.avx2) return ScanKernel::kAvx2;
     if (f.sse2) return ScanKernel::kSse2;
     if (f.neon) return ScanKernel::kNeon;

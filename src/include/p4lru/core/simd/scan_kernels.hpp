@@ -17,15 +17,13 @@
 //     choice always lands on something the shape actually implements.  The
 //     scalar kernel is the reference model — byte-for-byte the PR-2 loop.
 //   * `ScanDispatch<Key, Stride, N>` is the call site: a function pointer
-//     resolved once per instantiation from `active_kernel()` (cpuid probe +
-//     environment overrides), lazily on first scan so no static-init-order
+//     resolved once per instantiation from `active_kernel()` (cpuid probe
+//     unless overridden), lazily on first scan so no static-init-order
 //     games are needed.  `set_kernel_override` rebinds every live
-//     instantiation — the bench harness uses it to run scalar and SIMD
-//     series in one process.
+//     instantiation — perfbench uses it to time each kernel in one process,
+//     and the tests use it to compare kernels.
 //   * Forcing scalar: build with -DP4LRU_FORCE_SCALAR=ON (the kernels are
-//     not even compiled) or run with P4LRU_FORCE_SCALAR=1 in the
-//     environment; P4LRU_SCAN_KERNEL=scalar|sse2|avx2|neon pins a specific
-//     kernel when the CPU supports it.
+//     not even compiled), or call set_kernel_override(ScanKernel::kScalar).
 //
 // Every kernel returns exactly the scalar mask: bit j set iff lane j
 // (j < N) equals the probe under `lane_eq` — which for FlowKey compares the
@@ -98,7 +96,7 @@ struct CpuFeatures {
 [[nodiscard]] const char* kernel_name(ScanKernel k) noexcept;
 [[nodiscard]] CpuFeatures cpu_features() noexcept;
 
-/// The kernel the environment/cpuid resolution picked (ignores overrides).
+/// The kernel the cpuid probe picked (ignores overrides).
 [[nodiscard]] ScanKernel dispatched_kernel() noexcept;
 /// dispatched_kernel(), unless a set_kernel_override is in effect.
 [[nodiscard]] ScanKernel active_kernel() noexcept;

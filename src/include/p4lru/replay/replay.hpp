@@ -215,7 +215,7 @@ struct ShardedConfig {
     /// instrumentation entirely: instrument handles are never resolved and
     /// the hot paths pay one predicted pointer test per *batch*, so the
     /// disabled run stays bit-identical and within noise of pre-obs builds
-    /// (priced by the obs on/off series in bench_micro_ops).
+    /// (priced by perfbench's `obs_mops` against `sharded_mops`).
     obs::Registry* metrics = nullptr;
 };
 

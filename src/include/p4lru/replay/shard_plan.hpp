@@ -67,14 +67,14 @@ class ShardPlan {
 
 /// Default worker count for auto-configured sharded replay: the CPUs in
 /// this process's affinity mask (pinnable_cpus()) minus the dispatcher
-/// thread, clamped to [1, 8], with a P4LRU_REPLAY_SHARDS environment
-/// override.
+/// thread, clamped to [1, 8].  A caller that wants another count sets
+/// ShardedConfig::shards.
 [[nodiscard]] std::size_t default_shards();
 
 /// True when this process can profitably run the threaded engine (more than
 /// one CPU in its affinity mask); false routes auto-mode replay to the
-/// inline batched path. P4LRU_REPLAY_MODE=threaded|inline overrides the
-/// detection.
+/// inline batched path.  A caller that wants one path regardless sets
+/// ShardedConfig::mode.
 [[nodiscard]] bool threads_profitable();
 
 }  // namespace p4lru::replay

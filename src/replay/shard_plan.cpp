@@ -1,8 +1,6 @@
 #include "p4lru/replay/shard_plan.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 #include <stdexcept>
 
 #include "p4lru/replay/affinity.hpp"
@@ -29,10 +27,6 @@ Expected<ShardPlan> ShardPlan::try_make(std::size_t units,
 }
 
 std::size_t default_shards() {
-    if (const char* s = std::getenv("P4LRU_REPLAY_SHARDS")) {
-        const long v = std::atol(s);
-        if (v > 0) return static_cast<std::size_t>(v);
-    }
     // CPUs this process may run on, not the machine's: under taskset or a
     // cgroup cpuset the extra workers would only time-slice one core.
     const std::size_t cpus = pinnable_cpus();
@@ -43,10 +37,6 @@ std::size_t default_shards() {
 }
 
 bool threads_profitable() {
-    if (const char* s = std::getenv("P4LRU_REPLAY_MODE")) {
-        if (std::strcmp(s, "threaded") == 0) return true;
-        if (std::strcmp(s, "inline") == 0) return false;
-    }
     return pinnable_cpus() > 1;
 }
 

@@ -149,7 +149,7 @@ TEST_P(SupervisorCrashPointSweep, AosCacheRecoversBitIdentical) {
     check_supervised(make, ops, Mode::kInline, plan, 1);
 }
 
-TEST_P(SupervisorCrashPointSweep, LruMonSystemRecoversBitIdentical) {
+TEST_P(SupervisorCrashPointSweep, LruMonRecoversBitIdentical) {
     const auto ops = small_trace(43);
     fault::FaultPlan plan;
     plan.crash(2, GetParam(), /*section=*/0);

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <stdexcept>
 #include <vector>
 
@@ -63,10 +62,6 @@ TEST(ShardPlan, DefaultShardsIsPositive) {
 // machine's: pinned to one CPU (as under `taskset -c 0`), replay must pick
 // one shard and the inline path however many cores the host has.
 TEST(ShardPlan, AutoModeFollowsTheAffinityMask) {
-    if (std::getenv("P4LRU_REPLAY_SHARDS") != nullptr ||
-        std::getenv("P4LRU_REPLAY_MODE") != nullptr) {
-        GTEST_SKIP() << "replay overrides set in the environment";
-    }
     cpu_set_t saved;
     ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
     int first = 0;

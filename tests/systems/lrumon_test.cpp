@@ -58,13 +58,13 @@ struct Monitor {
     LruMonStats stats{};
 };
 
-TEST(LruMonSystem, RejectsNullComponents) {
+TEST(LruMon, RejectsNullComponents) {
     LruMonConfig cfg;
     EXPECT_THROW(Monitor(nullptr, p4lru3(30), cfg), std::invalid_argument);
     EXPECT_THROW(Monitor(tower(), nullptr, cfg), std::invalid_argument);
 }
 
-TEST(LruMonSystem, MousePacketsAreFiltered) {
+TEST(LruMon, MousePacketsAreFiltered) {
     LruMonConfig cfg;
     cfg.threshold = 1'000'000;  // nothing passes
     Monitor sys(tower(), p4lru3(300), cfg);
@@ -79,7 +79,7 @@ TEST(LruMonSystem, MousePacketsAreFiltered) {
     EXPECT_DOUBLE_EQ(r.total_error_rate, 1.0);
 }
 
-TEST(LruMonSystem, ElephantIsMeasuredExactly) {
+TEST(LruMon, ElephantIsMeasuredExactly) {
     LruMonConfig cfg;
     cfg.threshold = 1500;
     Monitor sys(tower(kSecond), p4lru3(300), cfg);
@@ -95,7 +95,7 @@ TEST(LruMonSystem, ElephantIsMeasuredExactly) {
     EXPECT_EQ(r.overestimated_flows, 0u);
 }
 
-TEST(LruMonSystem, NeverOverestimatesAnyFlow) {
+TEST(LruMon, NeverOverestimatesAnyFlow) {
     trace::TraceConfig tc;
     tc.total_packets = 80'000;
     tc.segments = 4;
@@ -110,7 +110,7 @@ TEST(LruMonSystem, NeverOverestimatesAnyFlow) {
     EXPECT_LE(r.measured_bytes, r.total_bytes);
 }
 
-TEST(LruMonSystem, MaxFlowErrorBoundedByThresholdPerWindow) {
+TEST(LruMon, MaxFlowErrorBoundedByThresholdPerWindow) {
     trace::TraceConfig tc;
     tc.total_packets = 60'000;
     const auto tr = trace::generate_trace(tc);  // 1 second
@@ -125,7 +125,7 @@ TEST(LruMonSystem, MaxFlowErrorBoundedByThresholdPerWindow) {
     EXPECT_LE(r.max_flow_error, 11u * (cfg.threshold + 1500));
 }
 
-TEST(LruMonSystem, UploadsOnlyOnCacheMisses) {
+TEST(LruMon, UploadsOnlyOnCacheMisses) {
     LruMonConfig cfg;
     cfg.threshold = 100;  // everything is an elephant
     Monitor sys(tower(kSecond), p4lru3(3), cfg);  // one cache unit
@@ -137,7 +137,7 @@ TEST(LruMonSystem, UploadsOnlyOnCacheMisses) {
     EXPECT_EQ(r.cache_hits, 1u);
 }
 
-TEST(LruMonSystem, EvictedBytesAreCreditedViaAnalyzer) {
+TEST(LruMon, EvictedBytesAreCreditedViaAnalyzer) {
     LruMonConfig cfg;
     cfg.threshold = 100;
     Monitor sys(tower(kSecond), p4lru3(3), cfg);  // one unit, 3 entries
@@ -153,7 +153,7 @@ TEST(LruMonSystem, EvictedBytesAreCreditedViaAnalyzer) {
     EXPECT_EQ(r.total_error_rate, 0.0);  // threshold 100 < every packet
 }
 
-TEST(LruMonSystem, ReportFinalizesOnDemand) {
+TEST(LruMon, ReportFinalizesOnDemand) {
     LruMonConfig cfg;
     cfg.threshold = 100;
     Monitor sys(tower(kSecond), p4lru3(300), cfg);
@@ -169,7 +169,7 @@ TEST(LruMonSystem, ReportFinalizesOnDemand) {
     EXPECT_EQ(after.total_error_rate, 0.0);
 }
 
-TEST(LruMonSystem, BetterCacheMeansFewerUploads) {
+TEST(LruMon, BetterCacheMeansFewerUploads) {
     trace::TraceConfig tc;
     tc.total_packets = 100'000;
     tc.segments = 8;
@@ -189,7 +189,7 @@ TEST(LruMonSystem, BetterCacheMeansFewerUploads) {
     EXPECT_LT(u3, u1);
 }
 
-TEST(LruMonSystem, HigherThresholdFewerUploads) {
+TEST(LruMon, HigherThresholdFewerUploads) {
     trace::TraceConfig tc;
     tc.total_packets = 80'000;
     const auto tr = trace::generate_trace(tc);
@@ -204,7 +204,7 @@ TEST(LruMonSystem, HigherThresholdFewerUploads) {
     EXPECT_GT(uploads(500), uploads(4'000));
 }
 
-TEST(LruMonSystem, WindowResetForgetsOldTraffic) {
+TEST(LruMon, WindowResetForgetsOldTraffic) {
     LruMonConfig cfg;
     cfg.threshold = 1500;
     Monitor sys(tower(10 * kMillisecond), p4lru3(300), cfg);
@@ -215,7 +215,7 @@ TEST(LruMonSystem, WindowResetForgetsOldTraffic) {
     EXPECT_EQ(sys.report().elephant_packets, 0u);
 }
 
-TEST(LruMonSystem, ReportIsIdempotentAcrossFinishAndMoreTraffic) {
+TEST(LruMon, ReportIsIdempotentAcrossFinishAndMoreTraffic) {
     LruMonConfig cfg;
     cfg.threshold = 100;
     Monitor sys(tower(kSecond), p4lru3(300), cfg);

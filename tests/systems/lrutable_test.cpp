@@ -68,11 +68,11 @@ TEST(NatTable, LookupIsDeterministicAndNeverPlaceholder) {
     }
 }
 
-TEST(LruTableSystem, RejectsNullPolicy) {
+TEST(LruTable, RejectsNullPolicy) {
     EXPECT_THROW(Gateway(nullptr, quick_config()), std::invalid_argument);
 }
 
-TEST(LruTableSystem, FirstPacketMissesThenHitsAfterFill) {
+TEST(LruTable, FirstPacketMissesThenHitsAfterFill) {
     Gateway sys(p4lru3(300), quick_config());
     sys.process(packet(1, 0));  // miss, fill scheduled at t = 10us
     // Second packet before the fill lands: placeholder hit, still slow.
@@ -91,7 +91,7 @@ TEST(LruTableSystem, FirstPacketMissesThenHitsAfterFill) {
     EXPECT_NEAR(r.miss_rate, 2.0 / 3.0, 1e-9);
 }
 
-TEST(LruTableSystem, PlaceholderHitDoesNotScheduleSecondFill) {
+TEST(LruTable, PlaceholderHitDoesNotScheduleSecondFill) {
     Gateway sys(p4lru3(300), quick_config());
     sys.process(packet(1, 0));
     for (int i = 1; i <= 5; ++i) {
@@ -102,7 +102,7 @@ TEST(LruTableSystem, PlaceholderHitDoesNotScheduleSecondFill) {
     EXPECT_EQ(r.placeholder_hits, 5u);
 }
 
-TEST(LruTableSystem, SlowPathLatencyIsAccounted) {
+TEST(LruTable, SlowPathLatencyIsAccounted) {
     LruTableConfig cfg = quick_config();
     cfg.slow_path_delay = 100 * kMicrosecond;
     Gateway sys(p4lru3(300), cfg);
@@ -114,7 +114,7 @@ TEST(LruTableSystem, SlowPathLatencyIsAccounted) {
     EXPECT_NEAR(r.avg_added_latency_us, 100.0, 1e-6);
 }
 
-TEST(LruTableSystem, TranslationIsCorrectAfterFill) {
+TEST(LruTable, TranslationIsCorrectAfterFill) {
     auto policy = p4lru3(300);
     auto* raw = policy.get();
     NatTable nat;
@@ -126,7 +126,7 @@ TEST(LruTableSystem, TranslationIsCorrectAfterFill) {
     EXPECT_EQ(raw->peek(va), std::optional<std::uint32_t>(nat.lookup(va)));
 }
 
-TEST(LruTableSystem, EvictedFlowMissesAgain) {
+TEST(LruTable, EvictedFlowMissesAgain) {
     // One P4LRU3 unit (3 entries): the fourth distinct flow evicts the
     // least recent; re-touching the evicted flow is a miss again.
     Gateway sys(p4lru3(3), quick_config());
@@ -140,7 +140,7 @@ TEST(LruTableSystem, EvictedFlowMissesAgain) {
     EXPECT_EQ(sys.report().misses, before + 1);
 }
 
-TEST(LruTableSystem, MissRateDropsWithMoreMemory) {
+TEST(LruTable, MissRateDropsWithMoreMemory) {
     trace::TraceConfig tc;
     tc.total_packets = 100'000;
     tc.segments = 16;
@@ -160,7 +160,7 @@ TEST(LruTableSystem, MissRateDropsWithMoreMemory) {
     EXPECT_LT(large, 0.5);
 }
 
-TEST(LruTableSystem, LongerSlowPathRaisesMissRate) {
+TEST(LruTable, LongerSlowPathRaisesMissRate) {
     trace::TraceConfig tc;
     tc.total_packets = 60'000;
     tc.segments = 8;
@@ -177,7 +177,7 @@ TEST(LruTableSystem, LongerSlowPathRaisesMissRate) {
     EXPECT_LT(run(10 * kMicrosecond), run(10 * kMillisecond));
 }
 
-TEST(LruTableSystem, P4lru3BeatsP4lru1OnMissRate) {
+TEST(LruTable, P4lru3BeatsP4lru1OnMissRate) {
     trace::TraceConfig tc;
     tc.total_packets = 100'000;
     tc.segments = 8;
