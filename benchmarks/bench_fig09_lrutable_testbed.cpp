@@ -4,12 +4,8 @@
 // Series: P4LRU3 (the system) and Baseline (hash-table cache = P4LRU1),
 // exactly the comparison of the paper's testbed run.
 //
-// The replay runs through the generic engine (LruTableTarget +
-// run_system_series): every figure point is the sequential reference, and
-// the heaviest trace (CAIDA_60) additionally sweeps the engine-mode axis —
-// inline batching and threaded sharding at 2 and 4 workers — emitting a
-// multi-worker throughput series to BENCH_fig09_lrutable.json with a
-// bit-equality check against the sequential statistics.
+// Every figure point is one sequential replay of an LruTableTarget
+// (bench::sequential_stats).  Replay throughput is perfbench's to measure.
 #include <algorithm>
 #include <cstdio>
 #include <string>
@@ -42,24 +38,12 @@ LruTableTarget::PolicyFactory slices(std::size_t total, std::uint32_t seed,
     };
 }
 
-struct RunResult {
-    LruTableReport report;  ///< from the sequential reference statistics
-    std::vector<SystemModePoint<LruTableStats>> modes;
-};
-
-RunResult run(const std::vector<PacketRecord>& trace,
-              const LruTableTarget::PolicyFactory& policies,
-              const std::vector<EngineMode>& axis) {
+LruTableReport run(const std::vector<PacketRecord>& trace,
+                   const LruTableTarget::PolicyFactory& policies) {
     LruTableConfig cfg;
     cfg.slow_path_delay = 40 * kMicrosecond;  // control-plane RTT
-    const auto make = [&] {
-        return LruTableTarget(kPartitions, policies, cfg);
-    };
-    RunResult r;
-    r.modes = run_system_series(make, trace, axis);
-    r.report = LruTableTarget(kPartitions, policies, cfg)
-                   .report(r.modes.front().stats);
-    return r;
+    LruTableTarget target(kPartitions, policies, cfg);
+    return target.report(sequential_stats(target, trace));
 }
 
 }  // namespace
@@ -73,57 +57,30 @@ int main() {
                     "Baseline miss %", "improvement x"});
     ConsoleTable b({"trace", "max concurrent flows", "P4LRU3 latency us",
                     "Baseline latency us", "improvement x"});
-    std::vector<SystemJsonSeries> json;
-    const auto miss_rate = [](const LruTableStats& s) {
-        return s.ops == 0
-                   ? 0.0
-                   : static_cast<double>(s.placeholder_hits + s.misses) /
-                         static_cast<double>(s.ops);
-    };
 
     for (const std::size_t n : concurrency_sweep()) {
         const auto trace = make_trace(n, /*seed=*/40 + n);
         const auto stats = trace::compute_stats(trace);
-        // Full engine axis only on the heaviest trace; the other figure
-        // points need just the sequential reference.
-        const auto axis = n == 60 ? engine_mode_axis() : sequential_axis();
-
-        const auto p3 =
-            run(trace, slices(entries, 0x91, Factory::p4lru3), axis);
-        const auto p1 =
-            run(trace, slices(entries, 0x91, Factory::p4lru1), axis);
+        const auto p3 = run(trace, slices(entries, 0x91, Factory::p4lru3));
+        const auto p1 = run(trace, slices(entries, 0x91, Factory::p4lru1));
         const std::string tag = "CAIDA" + std::to_string(n);
-        append_system_series(json, tag + "/P4LRU3", trace.size(), p3.modes,
-                             "miss_rate", miss_rate);
-        append_system_series(json, tag + "/Baseline", trace.size(), p1.modes,
-                             "miss_rate", miss_rate);
 
         a.add_row({tag, std::to_string(stats.max_concurrent),
-                   pct(p3.report.miss_rate), pct(p1.report.miss_rate),
-                   ConsoleTable::num(
-                       p1.report.miss_rate / p3.report.miss_rate, 2)});
+                   pct(p3.miss_rate), pct(p1.miss_rate),
+                   ConsoleTable::num(p1.miss_rate / p3.miss_rate, 2)});
         b.add_row({tag, std::to_string(stats.max_concurrent),
-                   ConsoleTable::num(p3.report.avg_added_latency_us, 3),
-                   ConsoleTable::num(p1.report.avg_added_latency_us, 3),
-                   ConsoleTable::num(p1.report.avg_added_latency_us /
-                                         p3.report.avg_added_latency_us,
-                                     2)});
+                   ConsoleTable::num(p3.avg_added_latency_us, 3),
+                   ConsoleTable::num(p1.avg_added_latency_us, 3),
+                   ConsoleTable::num(
+                       p1.avg_added_latency_us / p3.avg_added_latency_us, 2)});
     }
 
     a.print("Figure 9(a): LruTable miss rate vs concurrency");
     b.print("Figure 9(b): LruTable added latency vs concurrency");
 
-    bool all_match = true;
-    for (const auto& row : json) all_match &= row.matches_sequential;
-    write_system_json("BENCH_fig09_lrutable.json", "fig09_lrutable", json);
-    std::printf(
-        "\nEngine axis (CAIDA60): inline + 2/4-worker sharded replays %s\n"
-        "the sequential statistics bit for bit; series in "
-        "BENCH_fig09_lrutable.json.\n",
-        all_match ? "match" : "MISMATCH");
     std::printf(
         "\nPaper shape: miss rate rises with concurrency; P4LRU3 roughly\n"
         "halves the baseline miss rate (paper: 1.4-2.7%% vs 3.0-5.1%%, up\n"
         "to 2.14x) and cuts added latency up to 1.35x.\n");
-    return all_match ? 0 : 1;
+    return 0;
 }

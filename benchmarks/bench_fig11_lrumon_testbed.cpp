@@ -4,12 +4,8 @@
 //   (b) upload rate vs filter threshold, CAIDA_60
 // Series: P4LRU3 and Baseline (hash-table cache).
 //
-// The replay runs through the generic engine (LruMonTarget +
-// run_system_series): figure points use the sequential reference, and the
-// heaviest trace (CAIDA_60 at threshold 1500) additionally sweeps the
-// engine-mode axis — inline batching and 2/4-worker threaded sharding —
-// emitting a multi-worker series to BENCH_fig11_lrumon.json with a
-// bit-equality check against the sequential statistics.
+// Every figure point is one sequential replay of an LruMonTarget
+// (bench::sequential_stats).  Replay throughput is perfbench's to measure.
 #include <algorithm>
 #include <cstdio>
 #include <memory>
@@ -55,32 +51,14 @@ LruMonTarget::PolicyFactory policy_slices(std::size_t total,
     };
 }
 
-struct RunResult {
-    LruMonReport report;  ///< from the sequential reference statistics
-    std::vector<SystemModePoint<LruMonStats>> modes;
-};
-
-RunResult run(const std::vector<PacketRecord>& trace,
-              const LruMonTarget::PolicyFactory& policies,
-              std::uint32_t threshold, const std::vector<EngineMode>& axis) {
+LruMonReport run(const std::vector<PacketRecord>& trace,
+                 const LruMonTarget::PolicyFactory& policies,
+                 std::uint32_t threshold) {
     LruMonConfig cfg;
     cfg.threshold = threshold;
     cfg.track_ground_truth = false;  // testbed figure measures uploads only
-    const auto make = [&] {
-        return LruMonTarget(kPartitions, filter_slices(), policies, cfg);
-    };
-    RunResult r;
-    r.modes = run_system_series(make, trace, axis);
-    r.report = LruMonTarget(kPartitions, filter_slices(), policies, cfg)
-                   .report(r.modes.front().stats);
-    return r;
-}
-
-double upload_kpps(const LruMonStats& s) {
-    const double secs = (s.ops != 0 && s.last_ts > s.first_ts)
-                            ? static_cast<double>(s.last_ts - s.first_ts) / 1e9
-                            : 1.0;
-    return static_cast<double>(s.uploads) / secs / 1e3;
+    LruMonTarget target(kPartitions, filter_slices(), policies, cfg);
+    return target.report(sequential_stats(target, trace));
 }
 
 }  // namespace
@@ -89,7 +67,6 @@ int main() {
     // Sized so elephant flows contend for the cache (the regime where the
     // replacement policy matters, as on the paper's testbed).
     const std::size_t entries = scaled(3 * (1u << 8));
-    std::vector<SystemJsonSeries> json;
 
     // --- (a) upload rate vs concurrency ----------------------------------
     {
@@ -98,25 +75,16 @@ int main() {
         for (const std::size_t n : concurrency_sweep()) {
             const auto trace = make_trace(n, 70 + n);
             const auto stats = trace::compute_stats(trace);
-            const auto axis =
-                n == 60 ? engine_mode_axis() : sequential_axis();
-            const auto p3 =
-                run(trace, policy_slices(entries, 0xD1, Factory::p4lru3),
-                    1500, axis);
-            const auto p1 =
-                run(trace, policy_slices(entries, 0xD1, Factory::p4lru1),
-                    1500, axis);
-            const std::string tag = "CAIDA" + std::to_string(n);
-            append_system_series(json, tag + "/P4LRU3", trace.size(),
-                                 p3.modes, "upload_kpps", upload_kpps);
-            append_system_series(json, tag + "/Baseline", trace.size(),
-                                 p1.modes, "upload_kpps", upload_kpps);
-            t.add_row({tag, std::to_string(stats.max_concurrent),
-                       ConsoleTable::num(p3.report.upload_kpps, 1),
-                       ConsoleTable::num(p1.report.upload_kpps, 1),
-                       ConsoleTable::num(
-                           p1.report.upload_kpps / p3.report.upload_kpps,
-                           2)});
+            const auto p3 = run(
+                trace, policy_slices(entries, 0xD1, Factory::p4lru3), 1500);
+            const auto p1 = run(
+                trace, policy_slices(entries, 0xD1, Factory::p4lru1), 1500);
+            t.add_row({"CAIDA" + std::to_string(n),
+                       std::to_string(stats.max_concurrent),
+                       ConsoleTable::num(p3.upload_kpps, 1),
+                       ConsoleTable::num(p1.upload_kpps, 1),
+                       ConsoleTable::num(p1.upload_kpps / p3.upload_kpps,
+                                         2)});
         }
         t.print("Figure 11(a): LruMon upload rate vs concurrency");
     }
@@ -127,34 +95,23 @@ int main() {
         ConsoleTable t({"threshold B", "P4LRU3 KPPS", "Baseline KPPS",
                         "improvement x"});
         for (const std::uint32_t thr : {500u, 1000u, 1500u, 3000u, 6000u}) {
-            const auto p3 =
-                run(trace, policy_slices(entries, 0xD2, Factory::p4lru3),
-                    thr, sequential_axis());
-            const auto p1 =
-                run(trace, policy_slices(entries, 0xD2, Factory::p4lru1),
-                    thr, sequential_axis());
+            const auto p3 = run(
+                trace, policy_slices(entries, 0xD2, Factory::p4lru3), thr);
+            const auto p1 = run(
+                trace, policy_slices(entries, 0xD2, Factory::p4lru1), thr);
             t.add_row({std::to_string(thr),
-                       ConsoleTable::num(p3.report.upload_kpps, 1),
-                       ConsoleTable::num(p1.report.upload_kpps, 1),
-                       ConsoleTable::num(
-                           p1.report.upload_kpps / p3.report.upload_kpps,
-                           2)});
+                       ConsoleTable::num(p3.upload_kpps, 1),
+                       ConsoleTable::num(p1.upload_kpps, 1),
+                       ConsoleTable::num(p1.upload_kpps / p3.upload_kpps,
+                                         2)});
         }
         t.print("Figure 11(b): LruMon upload rate vs filter threshold");
     }
 
-    bool all_match = true;
-    for (const auto& row : json) all_match &= row.matches_sequential;
-    write_system_json("BENCH_fig11_lrumon.json", "fig11_lrumon", json);
-    std::printf(
-        "\nEngine axis (CAIDA60): inline + 2/4-worker sharded replays %s\n"
-        "the sequential statistics bit for bit; series in "
-        "BENCH_fig11_lrumon.json.\n",
-        all_match ? "match" : "MISMATCH");
     std::printf(
         "\nPaper shape: upload rate grows with concurrency (35.5 -> 74.0\n"
         "KPPS for P4LRU3 vs 48.0 -> 93.7 for the baseline, up to 1.35x)\n"
         "and falls as the threshold rises (92.9 -> 36.0 vs 115.8 -> 47.9,\n"
         "up to 1.33x).\n");
-    return all_match ? 0 : 1;
+    return 0;
 }

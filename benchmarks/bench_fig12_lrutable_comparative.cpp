@@ -6,8 +6,7 @@
 //
 // Every (row, policy) cell is an independent deterministic replay, so the
 // cells are evaluated through bench::run_series — concurrently when the
-// machine has spare cores — and each figure prints a per-series timing
-// table (wall time, Mops/s) alongside the paper-style results.
+// machine has spare cores.  Replay throughput is perfbench's to measure.
 #include <cstdio>
 
 #include "bench_common.hpp"
@@ -45,32 +44,26 @@ double tuned_timeout_miss(const std::vector<PacketRecord>& trace,
     return best;
 }
 
-/// The five policy columns of one figure row, as independent jobs.
+/// The five policy columns of one figure row (P4LRU3, Timeout, Elastic,
+/// Coco, LRU_IDEAL), as independent jobs.
 std::vector<SeriesJob> row_jobs(const std::vector<PacketRecord>& trace,
-                                const std::string& row_label,
                                 std::size_t entries, TimeNs dt) {
-    const auto n = static_cast<std::uint64_t>(trace.size());
     return {
-        {row_label + "/P4LRU3", n,
-         [&trace, entries, dt] {
-             return miss_rate(trace, Factory::p4lru3(entries, 0xE1), dt);
-         }},
-        {row_label + "/Timeout", 4 * n,  // 4 tuning sweeps
-         [&trace, entries, dt] {
-             return tuned_timeout_miss(trace, entries, dt);
-         }},
-        {row_label + "/Elastic", n,
-         [&trace, entries, dt] {
-             return miss_rate(trace, Factory::elastic(entries, 0xE1), dt);
-         }},
-        {row_label + "/Coco", n,
-         [&trace, entries, dt] {
-             return miss_rate(trace, Factory::coco(entries, 0xE1), dt);
-         }},
-        {row_label + "/LRU_IDEAL", n,
-         [&trace, entries, dt] {
-             return miss_rate(trace, Factory::ideal(entries), dt);
-         }},
+        [&trace, entries, dt] {
+            return miss_rate(trace, Factory::p4lru3(entries, 0xE1), dt);
+        },
+        [&trace, entries, dt] {
+            return tuned_timeout_miss(trace, entries, dt);
+        },
+        [&trace, entries, dt] {
+            return miss_rate(trace, Factory::elastic(entries, 0xE1), dt);
+        },
+        [&trace, entries, dt] {
+            return miss_rate(trace, Factory::coco(entries, 0xE1), dt);
+        },
+        [&trace, entries, dt] {
+            return miss_rate(trace, Factory::ideal(entries), dt);
+        },
     };
 }
 
@@ -90,22 +83,20 @@ int main() {
             const auto entries =
                 static_cast<std::size_t>(base_entries * mult);
             row_entries.push_back(entries);
-            const auto row = row_jobs(trace, std::to_string(entries),
-                                      entries, base_dt);
+            const auto row = row_jobs(trace, entries, base_dt);
             jobs.insert(jobs.end(), row.begin(), row.end());
         }
-        TimingReport timing;
-        const auto res = run_series(jobs, &timing);
+        const auto res = run_series(jobs);
 
         ConsoleTable t({"entries", "P4LRU3 %", "Timeout %", "Elastic %",
                         "Coco %", "LRU_IDEAL %", "vs Coco", "vs Elastic",
                         "vs Timeout"});
         for (std::size_t r = 0; r < mults.size(); ++r) {
-            const double p3 = res[r * 5 + 0].value;
-            const double to = res[r * 5 + 1].value;
-            const double el = res[r * 5 + 2].value;
-            const double co = res[r * 5 + 3].value;
-            const double id = res[r * 5 + 4].value;
+            const double p3 = res[r * 5 + 0];
+            const double to = res[r * 5 + 1];
+            const double el = res[r * 5 + 2];
+            const double co = res[r * 5 + 3];
+            const double id = res[r * 5 + 4];
             t.add_row({std::to_string(row_entries[r]), pct(p3), pct(to),
                        pct(el), pct(co), pct(id), pct(1.0 - p3 / co),
                        pct(1.0 - p3 / el), pct(1.0 - p3 / to)});
@@ -113,7 +104,6 @@ int main() {
         t.print(
             "Figure 12(a): LruTable miss rate vs memory (reduction columns "
             "= paper's 'up to 26.8/20.8/12.7%')");
-        timing.print("Figure 12(a): per-series replay timings");
     }
 
     // --- (b) miss rate vs slow-path latency dT ----------------------------
@@ -124,24 +114,20 @@ int main() {
                                          2560 * kMicrosecond};
         std::vector<SeriesJob> jobs;
         for (const TimeNs dt : dts) {
-            const auto row = row_jobs(trace,
-                                      "dT" + std::to_string(dt / 1000) + "us",
-                                      base_entries, dt);
+            const auto row = row_jobs(trace, base_entries, dt);
             jobs.insert(jobs.end(), row.begin(), row.end());
         }
-        TimingReport timing;
-        const auto res = run_series(jobs, &timing);
+        const auto res = run_series(jobs);
 
         ConsoleTable t({"dT us", "P4LRU3 %", "Timeout %", "Elastic %",
                         "Coco %", "LRU_IDEAL %"});
         for (std::size_t r = 0; r < dts.size(); ++r) {
             t.add_row({std::to_string(dts[r] / 1000),
-                       pct(res[r * 5 + 0].value), pct(res[r * 5 + 1].value),
-                       pct(res[r * 5 + 2].value), pct(res[r * 5 + 3].value),
-                       pct(res[r * 5 + 4].value)});
+                       pct(res[r * 5 + 0]), pct(res[r * 5 + 1]),
+                       pct(res[r * 5 + 2]), pct(res[r * 5 + 3]),
+                       pct(res[r * 5 + 4])});
         }
         t.print("Figure 12(b): LruTable miss rate vs slow-path latency");
-        timing.print("Figure 12(b): per-series replay timings");
     }
 
     std::printf(

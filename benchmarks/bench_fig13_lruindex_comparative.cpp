@@ -5,8 +5,7 @@
 //
 // Every cell drives its own closed-loop simulation against a shared
 // read-only DbServer (serve() is const), so cells are evaluated via
-// bench::run_series — concurrently on multicore machines — and per-series
-// timings (wall time, Mops/s over the query count) print after each table.
+// bench::run_series — concurrently on multicore machines.
 #include <cstdio>
 #include <memory>
 
@@ -52,38 +51,32 @@ double tuned_timeout_miss(DbServer& server, std::size_t entries,
     return best;
 }
 
-/// The five policy columns of one row. `seed` salts the policy hashes (the
-/// original bench used 0xF1 for (a) and 0xF2 for (b)).
-std::vector<SeriesJob> row_jobs(DbServer& server, const std::string& label,
-                                std::size_t entries, std::size_t queries,
-                                std::uint32_t seed) {
-    const auto n = static_cast<std::uint64_t>(queries);
+/// The five policy columns of one row (P4LRU3, Timeout, Elastic, Coco,
+/// LRU_IDEAL). `seed` salts the policy hashes (the original bench used 0xF1
+/// for (a) and 0xF2 for (b)).
+std::vector<SeriesJob> row_jobs(DbServer& server, std::size_t entries,
+                                std::size_t queries, std::uint32_t seed) {
     return {
-        {label + "/P4LRU3", n,
-         [&server, entries, queries, seed] {
-             // The paper's LruIndex uses the series connection; 4 levels.
-             auto p3 = std::make_unique<SeriesIndexCache>(
-                 4, std::max<std::size_t>(1, entries / 12), seed);
-             return miss_rate(server, std::move(p3), queries);
-         }},
-        {label + "/Timeout", 4 * n,
-         [&server, entries, queries] {
-             return tuned_timeout_miss(server, entries, queries);
-         }},
-        {label + "/Elastic", n,
-         [&server, entries, queries, seed] {
-             return miss_rate(server, wrap(Factory::elastic(entries, seed)),
-                              queries);
-         }},
-        {label + "/Coco", n,
-         [&server, entries, queries, seed] {
-             return miss_rate(server, wrap(Factory::coco(entries, seed)),
-                              queries);
-         }},
-        {label + "/LRU_IDEAL", n,
-         [&server, entries, queries] {
-             return miss_rate(server, wrap(Factory::ideal(entries)), queries);
-         }},
+        [&server, entries, queries, seed] {
+            // The paper's LruIndex uses the series connection; 4 levels.
+            auto p3 = std::make_unique<SeriesIndexCache>(
+                4, std::max<std::size_t>(1, entries / 12), seed);
+            return miss_rate(server, std::move(p3), queries);
+        },
+        [&server, entries, queries] {
+            return tuned_timeout_miss(server, entries, queries);
+        },
+        [&server, entries, queries, seed] {
+            return miss_rate(server, wrap(Factory::elastic(entries, seed)),
+                             queries);
+        },
+        [&server, entries, queries, seed] {
+            return miss_rate(server, wrap(Factory::coco(entries, seed)),
+                             queries);
+        },
+        [&server, entries, queries] {
+            return miss_rate(server, wrap(Factory::ideal(entries)), queries);
+        },
     };
 }
 
@@ -104,23 +97,20 @@ int main() {
             const auto entries =
                 static_cast<std::size_t>(base_entries * mult);
             row_entries.push_back(entries);
-            const auto row = row_jobs(server, std::to_string(entries),
-                                      entries, queries, 0xF1);
+            const auto row = row_jobs(server, entries, queries, 0xF1);
             jobs.insert(jobs.end(), row.begin(), row.end());
         }
-        TimingReport timing;
-        const auto res = run_series(jobs, &timing);
+        const auto res = run_series(jobs);
 
         ConsoleTable t({"entries", "P4LRU3 %", "Timeout %", "Elastic %",
                         "Coco %", "LRU_IDEAL %"});
         for (std::size_t r = 0; r < mults.size(); ++r) {
             t.add_row({std::to_string(row_entries[r]),
-                       pct(res[r * 5 + 0].value), pct(res[r * 5 + 1].value),
-                       pct(res[r * 5 + 2].value), pct(res[r * 5 + 3].value),
-                       pct(res[r * 5 + 4].value)});
+                       pct(res[r * 5 + 0]), pct(res[r * 5 + 1]),
+                       pct(res[r * 5 + 2]), pct(res[r * 5 + 3]),
+                       pct(res[r * 5 + 4])});
         }
         t.print("Figure 13(a): LruIndex miss rate vs memory");
-        timing.print("Figure 13(a): per-series driver timings");
     }
 
     // --- (b) miss rate vs server query latency dT --------------------------
@@ -134,28 +124,22 @@ int main() {
             servers.push_back(std::make_unique<DbServer>(items, costs));
         }
         std::vector<SeriesJob> jobs;
-        for (std::size_t h = 0; h < hops.size(); ++h) {
-            const TimeNs approx_dt =
-                hops[h] * 4;  // ~tree height hops per indexed query
-            const auto row =
-                row_jobs(*servers[h],
-                         "dT" + std::to_string(approx_dt / 1000) + "us",
-                         base_entries, queries, 0xF2);
+        for (const auto& server : servers) {
+            const auto row = row_jobs(*server, base_entries, queries, 0xF2);
             jobs.insert(jobs.end(), row.begin(), row.end());
         }
-        TimingReport timing;
-        const auto res = run_series(jobs, &timing);
+        const auto res = run_series(jobs);
 
         ConsoleTable t({"dT us (index cost)", "P4LRU3 %", "Timeout %",
                         "Elastic %", "Coco %", "LRU_IDEAL %"});
         for (std::size_t r = 0; r < hops.size(); ++r) {
+            // dT ~ tree-height (4) hops per indexed query.
             t.add_row({std::to_string(hops[r] * 4 / 1000),
-                       pct(res[r * 5 + 0].value), pct(res[r * 5 + 1].value),
-                       pct(res[r * 5 + 2].value), pct(res[r * 5 + 3].value),
-                       pct(res[r * 5 + 4].value)});
+                       pct(res[r * 5 + 0]), pct(res[r * 5 + 1]),
+                       pct(res[r * 5 + 2]), pct(res[r * 5 + 3]),
+                       pct(res[r * 5 + 4])});
         }
         t.print("Figure 13(b): LruIndex miss rate vs query latency");
-        timing.print("Figure 13(b): per-series driver timings");
     }
 
     std::printf(

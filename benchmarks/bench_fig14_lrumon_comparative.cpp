@@ -5,8 +5,8 @@
 //   (b) miss rate vs filter threshold
 //
 // Cells are independent deterministic replays, evaluated via
-// bench::run_series (parallel on multicore machines) with per-series
-// timings printed after each figure table.
+// bench::run_series (parallel on multicore machines).  Replay throughput is
+// perfbench's to measure.
 #include <cstdio>
 
 #include "bench_common.hpp"
@@ -49,35 +49,30 @@ double tuned_timeout_miss(const std::vector<PacketRecord>& trace,
     return best;
 }
 
+/// The five policy columns of one row (P4LRU3, Timeout, Elastic, Coco,
+/// LRU_IDEAL), as independent jobs.
 std::vector<SeriesJob> row_jobs(const std::vector<PacketRecord>& trace,
-                                const std::string& row_label,
                                 std::size_t entries,
                                 std::uint32_t threshold) {
-    const auto n = static_cast<std::uint64_t>(trace.size());
     return {
-        {row_label + "/P4LRU3", n,
-         [&trace, entries, threshold] {
-             return miss_rate(trace, Factory::p4lru3(entries, 0xA7),
-                              threshold);
-         }},
-        {row_label + "/Timeout", 4 * n,
-         [&trace, entries, threshold] {
-             return tuned_timeout_miss(trace, entries, threshold);
-         }},
-        {row_label + "/Elastic", n,
-         [&trace, entries, threshold] {
-             return miss_rate(trace, Factory::elastic(entries, 0xA7),
-                              threshold);
-         }},
-        {row_label + "/Coco", n,
-         [&trace, entries, threshold] {
-             return miss_rate(trace, Factory::coco(entries, 0xA7),
-                              threshold);
-         }},
-        {row_label + "/LRU_IDEAL", n,
-         [&trace, entries, threshold] {
-             return miss_rate(trace, Factory::ideal(entries), threshold);
-         }},
+        [&trace, entries, threshold] {
+            return miss_rate(trace, Factory::p4lru3(entries, 0xA7),
+                             threshold);
+        },
+        [&trace, entries, threshold] {
+            return tuned_timeout_miss(trace, entries, threshold);
+        },
+        [&trace, entries, threshold] {
+            return miss_rate(trace, Factory::elastic(entries, 0xA7),
+                             threshold);
+        },
+        [&trace, entries, threshold] {
+            return miss_rate(trace, Factory::coco(entries, 0xA7),
+                             threshold);
+        },
+        [&trace, entries, threshold] {
+            return miss_rate(trace, Factory::ideal(entries), threshold);
+        },
     };
 }
 
@@ -96,23 +91,20 @@ int main() {
             const auto entries =
                 static_cast<std::size_t>(base_entries * mult);
             row_entries.push_back(entries);
-            const auto row =
-                row_jobs(trace, std::to_string(entries), entries, 1500);
+            const auto row = row_jobs(trace, entries, 1500);
             jobs.insert(jobs.end(), row.begin(), row.end());
         }
-        TimingReport timing;
-        const auto res = run_series(jobs, &timing);
+        const auto res = run_series(jobs);
 
         ConsoleTable t({"entries", "P4LRU3 %", "Timeout %", "Elastic %",
                         "Coco %", "LRU_IDEAL %"});
         for (std::size_t r = 0; r < mults.size(); ++r) {
             t.add_row({std::to_string(row_entries[r]),
-                       pct(res[r * 5 + 0].value), pct(res[r * 5 + 1].value),
-                       pct(res[r * 5 + 2].value), pct(res[r * 5 + 3].value),
-                       pct(res[r * 5 + 4].value)});
+                       pct(res[r * 5 + 0]), pct(res[r * 5 + 1]),
+                       pct(res[r * 5 + 2]), pct(res[r * 5 + 3]),
+                       pct(res[r * 5 + 4])});
         }
         t.print("Figure 14(a): LruMon cache miss rate vs memory");
-        timing.print("Figure 14(a): per-series replay timings");
     }
 
     // --- (b) miss rate vs filter threshold --------------------------------
@@ -121,23 +113,20 @@ int main() {
                                                        3000u, 6000u};
         std::vector<SeriesJob> jobs;
         for (const std::uint32_t thr : thresholds) {
-            const auto row = row_jobs(trace, "thr" + std::to_string(thr),
-                                      base_entries, thr);
+            const auto row = row_jobs(trace, base_entries, thr);
             jobs.insert(jobs.end(), row.begin(), row.end());
         }
-        TimingReport timing;
-        const auto res = run_series(jobs, &timing);
+        const auto res = run_series(jobs);
 
         ConsoleTable t({"threshold B", "P4LRU3 %", "Timeout %", "Elastic %",
                         "Coco %", "LRU_IDEAL %"});
         for (std::size_t r = 0; r < thresholds.size(); ++r) {
             t.add_row({std::to_string(thresholds[r]),
-                       pct(res[r * 5 + 0].value), pct(res[r * 5 + 1].value),
-                       pct(res[r * 5 + 2].value), pct(res[r * 5 + 3].value),
-                       pct(res[r * 5 + 4].value)});
+                       pct(res[r * 5 + 0]), pct(res[r * 5 + 1]),
+                       pct(res[r * 5 + 2]), pct(res[r * 5 + 3]),
+                       pct(res[r * 5 + 4])});
         }
         t.print("Figure 14(b): LruMon cache miss rate vs filter threshold");
-        timing.print("Figure 14(b): per-series replay timings");
     }
 
     std::printf(

@@ -20,7 +20,7 @@ using Factory = PolicyFactory<VirtualAddress, std::uint32_t>;
 Factory::Ptr p4lru4(std::size_t entries, std::uint32_t seed) {
     return std::make_unique<cache::P4lru4ArrayPolicy<VirtualAddress,
                                                      std::uint32_t>>(
-        entries, seed, "P4LRU4");
+        entries, seed);
 }
 
 struct Outcome {

@@ -117,7 +117,8 @@ int main() {
         ConsoleTable b({"levels", "P4LRU1 sim", "P4LRU2 sim", "P4LRU3 sim"});
         const std::size_t total_units = base_units * 4;
         for (const std::size_t levels : {1u, 2u, 4u, 8u}) {
-            const std::size_t per_level = total_units / levels;
+            const std::size_t per_level =
+                std::max<std::size_t>(1, total_units / levels);
             const auto p1 =
                 run_series<1>(server, levels, per_level * 3, queries);
             const auto p2 = run_series<2>(server, levels,
@@ -142,8 +143,8 @@ int main() {
         ConsoleTable c({"total entries", "LRU_IDEAL %", "P4LRU1 %",
                         "P4LRU2 %", "P4LRU3 %"});
         for (const double mult : {0.125, 0.25, 0.5, 1.0}) {
-            const auto units =
-                static_cast<std::size_t>(base_units * mult);
+            const auto units = std::max<std::size_t>(
+                1, static_cast<std::size_t>(base_units * mult));
             const std::size_t entries = units * 3 * 4;
             const auto p1 = run_series<1>(server, 4, units * 3, queries);
             const auto p2 = run_series<2>(server, 4, units * 3 / 2, queries);

@@ -1,9 +1,11 @@
 // Uniform cache-policy interface and every replacement policy evaluated in
 // the paper's comparative experiments (Figures 12-14), plus two extensions.
 //
-//   P4lruArrayPolicy<N>  - parallel-connected P4LRU_N (N=1 is the paper's
-//                          "Baseline" hash-table cache, N=3 the contribution)
-//   TimeoutPolicy        - BeauCoup-style last-access-timestamp replacement
+//   UnitArrayPolicy      - parallel-connected P4LRU units, spelled
+//                          P4lruArrayPolicy<N> (N=1 is the paper's
+//                          "Baseline" hash-table cache, N=3 the
+//                          contribution) and P4lru4ArrayPolicy (encoded)
+//   TimeoutPolicy       - BeauCoup-style last-access-timestamp replacement
 //   ElasticPolicy        - Elastic-sketch vote-based replacement
 //   CocoPolicy           - CocoSketch probabilistic replacement
 //   IdealLruPolicy       - the unconstrained strict-LRU upper bound
@@ -70,25 +72,6 @@ class ReplacementPolicy {
     virtual Access<Key, Value> fill(const Key& k, const Value& v,
                                     TimeNs now) = 0;
 
-    /// Batched write path: apply ops strictly in span order, invoking
-    /// sink(access) once per op.  Semantically identical to calling fill()
-    /// per op — the default does exactly that — but array-backed policies
-    /// override it with the cache's batched path (buckets hashed a chunk
-    /// ahead, units prefetched a fixed distance ahead), so batch callers
-    /// get the memory-level parallelism without a behaviour change.
-    virtual void fill_batch(
-        std::span<const core::CacheOp<Key, Value>> ops, TimeNs now,
-        const std::function<void(const Access<Key, Value>&)>& sink) {
-        for (const auto& op : ops) sink(fill(op.key, op.value, now));
-    }
-
-    /// Batched read path; the per-op equivalent of access().
-    virtual void access_batch(
-        std::span<const core::CacheOp<Key, Value>> ops, TimeNs now,
-        const std::function<void(const Access<Key, Value>&)>& sink) {
-        for (const auto& op : ops) sink(access(op.key, op.value, now));
-    }
-
     /// Non-mutating lookup.
     [[nodiscard]] virtual std::optional<Value> peek(const Key& k) const = 0;
 
@@ -117,13 +100,15 @@ class ReplacementPolicy {
     }
 };
 
-/// Parallel-connected P4LRU_N array: capacity_entries = units * N.
-template <typename Key, typename Value, std::size_t N,
+/// Parallel-connected array of `Unit` caches (Section 1.2):
+/// capacity_entries = units * Unit::capacity().
+template <typename Unit, typename Key, typename Value,
           typename Merge = core::ReplaceMerge>
-class P4lruArrayPolicy final : public ReplacementPolicy<Key, Value> {
+class UnitArrayPolicy final : public ReplacementPolicy<Key, Value> {
   public:
-    P4lruArrayPolicy(std::size_t total_entries, std::uint32_t seed)
-        : array_(std::max<std::size_t>(1, total_entries / N), seed) {}
+    UnitArrayPolicy(std::size_t total_entries, std::uint32_t seed)
+        : array_(std::max<std::size_t>(1, total_entries / Unit::capacity()),
+                 seed) {}
 
     Access<Key, Value> access(const Key& k, const Value& v,
                               TimeNs /*now*/) override {
@@ -137,51 +122,36 @@ class P4lruArrayPolicy final : public ReplacementPolicy<Key, Value> {
         return convert(b, k, array_.update_at(b, k, v, Merge{}));
     }
 
-    void fill_batch(std::span<const core::CacheOp<Key, Value>> ops,
-                    TimeNs /*now*/,
-                    const std::function<void(const Access<Key, Value>&)>&
-                        sink) override {
-        array_.update_batch(
-            ops,
-            [&](std::size_t i, std::size_t b,
-                const core::UpdateResult<Key, Value>& r) {
-                sink(convert(b, ops[i].key, r));
-            },
-            Merge{});
-    }
-
-    void access_batch(std::span<const core::CacheOp<Key, Value>> ops,
-                      TimeNs /*now*/,
-                      const std::function<void(const Access<Key, Value>&)>&
-                          sink) override {
-        array_.update_batch(
-            ops,
-            [&](std::size_t i, std::size_t b,
-                const core::UpdateResult<Key, Value>& r) {
-                sink(convert(b, ops[i].key, r));
-            },
-            core::KeepMerge{});
-    }
-
     std::optional<Value> peek(const Key& k) const override {
         return array_.find(k);
     }
 
     std::size_t capacity_entries() const override { return array_.capacity(); }
 
-    std::string name() const override { return "P4LRU" + std::to_string(N); }
+    std::string name() const override {
+        return "P4LRU" + std::to_string(Unit::capacity());
+    }
 
     void for_each(const std::function<void(const Key&, const Value&)>& fn)
         const override {
         for (std::size_t u = 0; u < array_.unit_count(); ++u) {
             const auto& unit = array_.unit(u);
-            for (std::size_t i = 1; i <= unit.size(); ++i) {
-                fn(unit.key_at(i), unit.value_at(i));
+            if constexpr (requires(const Unit& x) { x.raw_key(0); }) {
+                // Encoded units store keys in raw slots with Key{} as the
+                // empty sentinel; find() resolves each value through the
+                // unit's state.
+                for (std::size_t i = 0; i < Unit::capacity(); ++i) {
+                    const Key& key = unit.raw_key(i);
+                    if (key == Key{}) continue;
+                    if (const auto value = unit.find(key)) fn(key, *value);
+                }
+            } else {
+                for (std::size_t i = 1; i <= unit.size(); ++i) {
+                    fn(unit.key_at(i), unit.value_at(i));
+                }
             }
         }
     }
-
-    [[nodiscard]] const auto& array() const noexcept { return array_; }
 
     bool save_state(std::vector<std::byte>& out) const override {
         std::vector<std::byte> planes;
@@ -209,111 +179,15 @@ class P4lruArrayPolicy final : public ReplacementPolicy<Key, Value> {
         return a;
     }
 
-    core::ParallelCache<core::P4lru<Key, Value, N>, Key, Value> array_;
-};
-
-/// Parallel array over an arbitrary unit type (e.g. the encoded P4LRU4 of
-/// Section 2.3.3). `Unit::capacity()` sizes the memory normalization.
-template <typename Unit, typename Key, typename Value,
-          typename Merge = core::ReplaceMerge>
-class UnitArrayPolicy final : public ReplacementPolicy<Key, Value> {
-  public:
-    UnitArrayPolicy(std::size_t total_entries, std::uint32_t seed,
-                    std::string name)
-        : array_(std::max<std::size_t>(1, total_entries / Unit::capacity()),
-                 seed),
-          name_(std::move(name)) {}
-
-    Access<Key, Value> access(const Key& k, const Value& v,
-                              TimeNs /*now*/) override {
-        const std::size_t b = array_.bucket(k);
-        return convert(b, k, array_.update_at(b, k, v, core::KeepMerge{}));
-    }
-
-    Access<Key, Value> fill(const Key& k, const Value& v,
-                            TimeNs /*now*/) override {
-        const std::size_t b = array_.bucket(k);
-        return convert(b, k, array_.update_at(b, k, v, Merge{}));
-    }
-
-    void fill_batch(std::span<const core::CacheOp<Key, Value>> ops,
-                    TimeNs /*now*/,
-                    const std::function<void(const Access<Key, Value>&)>&
-                        sink) override {
-        array_.update_batch(
-            ops,
-            [&](std::size_t i, std::size_t b,
-                const core::UpdateResult<Key, Value>& r) {
-                sink(convert(b, ops[i].key, r));
-            },
-            Merge{});
-    }
-
-    void access_batch(std::span<const core::CacheOp<Key, Value>> ops,
-                      TimeNs /*now*/,
-                      const std::function<void(const Access<Key, Value>&)>&
-                          sink) override {
-        array_.update_batch(
-            ops,
-            [&](std::size_t i, std::size_t b,
-                const core::UpdateResult<Key, Value>& r) {
-                sink(convert(b, ops[i].key, r));
-            },
-            core::KeepMerge{});
-    }
-
-    std::optional<Value> peek(const Key& k) const override {
-        return array_.find(k);
-    }
-
-    std::size_t capacity_entries() const override {
-        return array_.capacity();
-    }
-    std::string name() const override { return name_; }
-
-    void for_each(const std::function<void(const Key&, const Value&)>& fn)
-        const override {
-        // Encoded units store keys in raw slots with Key{} as the empty
-        // sentinel; find() resolves each value through the unit's state.
-        for (std::size_t u = 0; u < array_.unit_count(); ++u) {
-            const auto& unit = array_.unit(u);
-            for (std::size_t i = 0; i < Unit::capacity(); ++i) {
-                const Key& key = unit.raw_key(i);
-                if (key == Key{}) continue;
-                if (const auto value = unit.find(key)) fn(key, *value);
-            }
-        }
-    }
-
-    bool save_state(std::vector<std::byte>& out) const override {
-        std::vector<std::byte> planes;
-        array_.storage().save_planes(planes);
-        out.insert(out.end(), planes.begin(), planes.end());
-        return true;
-    }
-
-    bool load_state(std::span<const std::byte> in) override {
-        return array_.storage().load_planes(in);
-    }
-
-  private:
-    /// One hash per access/fill: the update's bucket is reused for the
-    /// value readback.
-    Access<Key, Value> convert(std::size_t b, const Key& k,
-                               const core::UpdateResult<Key, Value>& r) {
-        Access<Key, Value> a;
-        a.hit = r.hit;
-        a.inserted = true;
-        a.evicted = r.evicted;
-        a.evicted_key = r.evicted_key;
-        a.evicted_value = r.evicted_value;
-        a.value = array_.find_at(b, k).value_or(Value{});
-        return a;
-    }
-
     core::ParallelCache<Unit, Key, Value> array_;
-    std::string name_;
 };
+
+/// Parallel-connected P4LRU_N (N=1 is the paper's "Baseline" hash-table
+/// cache, N=3 the contribution).
+template <typename Key, typename Value, std::size_t N,
+          typename Merge = core::ReplaceMerge>
+using P4lruArrayPolicy =
+    UnitArrayPolicy<core::P4lru<Key, Value, N>, Key, Value, Merge>;
 
 /// Parallel-connected encoded P4LRU4 (the Section-2.3.3 construction).
 template <typename Key, typename Value, typename Merge = core::ReplaceMerge>

@@ -84,18 +84,6 @@ class Percentiles {
     std::vector<double> xs_;
 };
 
-/// Operations-over-wall-time record for throughput reporting (replay engine,
-/// bench timing harness).
-struct Throughput {
-    std::uint64_t ops = 0;
-    double seconds = 0.0;
-
-    [[nodiscard]] double ops_per_sec() const noexcept {
-        return seconds > 0.0 ? static_cast<double>(ops) / seconds : 0.0;
-    }
-    [[nodiscard]] double mops() const noexcept { return ops_per_sec() / 1e6; }
-};
-
 /// Ratio counter for hit/miss style accounting.
 struct Ratio {
     std::uint64_t num = 0;
